@@ -26,8 +26,8 @@ def porto():
     return profile, queries, data, q, d, params
 
 
-@pytest.mark.parametrize("algorithm", ["CMA", "ExactS", "Spring", "POS", "PSS"])
-@pytest.mark.parametrize("distance", ["DTW"])
+@pytest.mark.parametrize("algorithm", ["CMA", "ExactS", "Spring", "POS", "PSS", "RLS"])
+@pytest.mark.parametrize("distance", ["DTW", "ERP"])
 def test_bench_pair_search(benchmark, porto, algorithm, distance):
     _, _, _, q, d, params = porto
     if not supports(algorithm, distance):

@@ -19,77 +19,44 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.cma import cma_row
 from repro.core.costs import WedCosts
-from repro.core.full_dp import (
-    dtw_full_lastrow,
-    fd_full_lastrow,
-    wed_full_lastrow,
-)
-from repro.core.kernels import prefix_sums, running_min_argmin
+from repro.core.full_dp import full_lastrow, prefix_distances, slice_costs
 
 Result = tuple[float, int, int]
 
 
+def _transpose(costs: WedCosts | np.ndarray) -> WedCosts | np.ndarray:
+    """The pair with query and data swapped: WED deletions become insertions."""
+    if isinstance(costs, WedCosts):
+        return WedCosts(costs.sub.T, costs.insert, costs.delete)
+    return np.asarray(costs, dtype=np.float64).T
+
+
 class IncrementalDP:
-    """Column DP of ``Θ(τq, τd[s:t])`` supporting append-a-point in O(m)."""
+    """Column DP of ``Θ(τq, τd[s:t])`` supporting append-a-point in O(m).
+
+    The column for τd[s:t] is the classical DP's row for the transposed pair
+    (τd[s:t] against τq), so each append is one shared row step.
+    """
 
     def __init__(self, kind: str, costs: WedCosts | np.ndarray):
         self.kind = kind
-        if isinstance(costs, WedCosts):
-            self.SUB, self.DEL, self.INS = costs.sub, costs.delete, costs.insert
-            self.del_pre = prefix_sums(self.DEL)
-        else:
-            self.SUB = np.asarray(costs, dtype=np.float64)
-            self.DEL = self.INS = self.del_pre = None
-        self.m, self.n = self.SUB.shape
+        self.costs = costs
+        self.n = (costs.sub if isinstance(costs, WedCosts) else np.asarray(costs)).shape[1]
         self.reset(0)
 
     def reset(self, start: int) -> None:
         """Begin an empty segment whose first point will be ``τd[start]``."""
         self.start = start
         self.t = start - 1
-        if self.kind == "wed":
-            self.col = self.del_pre[1:].copy()  # Θ(τq[1:i], τ∅) = Σ del
-            self.empty = 0.0
-        else:
-            self.col = None  # dtw/fd undefined on empty segments
+        suffix = _transpose(slice_costs(self.costs, start, self.n))
+        self._dists = prefix_distances(self.kind, suffix)
 
     def append(self) -> float:
         """Extend the segment with the next data point; return Θ(τq, τd[s:t])."""
         self.t += 1
-        t = self.t
-        if self.kind == "wed":
-            new_empty = self.empty + self.INS[t]
-            b = np.empty(self.m)
-            b[0] = min(self.empty + self.SUB[0, t], self.col[0] + self.INS[t])
-            b[1:] = np.minimum(
-                self.col[:-1] + self.SUB[1:, t], self.col[1:] + self.INS[t]
-            )
-            gm, _ = running_min_argmin(b - self.del_pre[1:])
-            self.col = self.del_pre[1:] + np.minimum(new_empty, gm)
-            self.empty = new_empty
-        elif self.kind == "dtw":
-            if self.col is None:
-                self.col = np.cumsum(self.SUB[:, t])
-            else:
-                a = self.col.copy()
-                np.minimum(a[1:], self.col[:-1], out=a[1:])
-                P = prefix_sums(self.SUB[:, t])
-                hm, _ = running_min_argmin(a - P[: self.m])
-                self.col = P[1:] + hm
-        else:  # fd
-            if self.col is None:
-                self.col = np.maximum.accumulate(self.SUB[:, t])
-            else:
-                prev = self.col
-                col = np.empty(self.m)
-                col[0] = max(prev[0], self.SUB[0, t])
-                for i in range(1, self.m):
-                    col[i] = max(
-                        min(prev[i], col[i - 1], prev[i - 1]), self.SUB[i, t]
-                    )
-                self.col = col
-        return float(self.col[-1])
+        return next(self._dists)
 
 
 def _reverse_costs(costs: WedCosts | np.ndarray) -> WedCosts | np.ndarray:
@@ -107,11 +74,7 @@ def suffix_distances(kind: str, costs: WedCosts | np.ndarray) -> np.ndarray:
 
     Uses the reversal symmetry of WED/DTW/FD: Θ(q, d) = Θ(rev q, rev d).
     """
-    rev = _reverse_costs(costs)
-    if kind == "wed":
-        row = wed_full_lastrow(rev)
-    else:
-        row = dtw_full_lastrow(rev) if kind == "dtw" else fd_full_lastrow(rev)
+    row = full_lastrow(kind, _reverse_costs(costs))
     return row[::-1].copy()  # sd[t] = row[n - 1 - t]
 
 
@@ -122,11 +85,7 @@ def best_window_in_suffix(kind: str, costs: WedCosts | np.ndarray) -> np.ndarray
     One CMA pass on the reversed pair gives the best window *starting* at
     each s; a right-to-left running min finishes the job. O(mn).
     """
-    from repro.core.cma import cma_dtw_state, cma_fd_state, cma_wed_state
-
-    rev = _reverse_costs(costs)
-    state = {"wed": cma_wed_state, "dtw": cma_dtw_state, "fd": cma_fd_state}[kind]
-    C_rev, _ = state(rev)
+    C_rev, _ = cma_row(kind, _reverse_costs(costs))
     best_start = C_rev[::-1]  # best window starting at s
     return np.minimum.accumulate(best_start[::-1])[::-1].copy()
 

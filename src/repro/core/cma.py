@@ -4,146 +4,64 @@ Each kernel returns ``(cost, start, end)`` where ``τd[start:end]``
 (0-indexed, inclusive) is an optimal subtrajectory and ``cost`` equals
 ``min_{i≤j} Θ(τq, τd[i:j])`` (Eq. 6: ``min_j C_{m,j}``).
 
-Rows of the DP are vectorised: the ``min_{k<j}`` insertion terms reduce to
-running minima after subtracting prefix sums (see :mod:`repro.core.kernels`),
-so the Python-level loop is over the m query points only.
-
-We implement the WED recurrence in its *theorem form*
-``C[i,j] = min(C[i-1,j] + del, sub + min_{k<j}(C[i-1,k] + ins(d[k+1:j-1])))``
-rather than the paper's ``C[i,j-1]``-rewrite of Eq. 7: the rewrite assumes
-``C[i,j-1]`` was realised by the sub/ins path, the theorem form holds
-unconditionally. Tests check both exactness (vs brute force) and agreement
-with ExactS.
+CMA is the classical distance DP with a *free-start* boundary, searched for
+its best end. The row recurrences are not written here: every family's row
+step lives in :mod:`repro.core.kernels` and is shared with the classical
+full-distance DP (:mod:`repro.core.full_dp`) and the POS/PSS incremental
+DP. Those callers differ from CMA only in the boundary row — CMA's first
+row is the plain substitution row ``SUB[0]`` (the window may open at any
+data point), and for the WED family a fresh start costs nothing extra —
+and CMA is the only caller that carries window starts along the rows.
+Tests check exactness against brute force and agreement with ExactS.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from repro.core.costs import WedCosts
-from repro.core.kernels import prefix_sums, running_min_argmin
+from repro.core.kernels import prefix_sums, sub_rows, wed_rows
 
 Result = tuple[float, int, int]
 
 
-def _finish(C: np.ndarray, S: np.ndarray) -> Result:
+def cma_row(kind: str, costs: WedCosts | np.ndarray, starts=None):
+    """Final CMA row ``(C[m, ·], starts)``: the best cost of a window ending
+    at each j and, when ``starts`` gives the first row's starts, its start.
+
+    Exposed because the row itself is useful — e.g. PSS derives its
+    best-window-in-suffix signal from the reversed pair's final row.
+    """
+    if kind == "wed":
+        rows = wed_rows(costs, prefix_sums(costs.insert), 0.0, starts)
+    elif kind in ("dtw", "fd"):
+        SUB = np.asarray(costs)
+        rows = sub_rows(kind, SUB, SUB[0], starts)
+    else:
+        raise ValueError(f"unknown kernel kind {kind!r}")
+    for row in rows:
+        pass
+    return row
+
+
+def cma(distance_kind: str, costs: WedCosts | np.ndarray) -> Result:
+    """Dispatch on kernel kind: ``'wed'`` | ``'dtw'`` | ``'fd'``."""
+    n = (costs.sub if isinstance(costs, WedCosts) else np.asarray(costs)).shape[1]
+    C, S = cma_row(distance_kind, costs, np.arange(n))
     j = int(np.argmin(C))
     return float(C[j]), int(S[j]), j
 
 
 def cma_wed(costs: WedCosts) -> Result:
     """CMA for the WED family (Eq. 7 / Definition 7), exact, O(mn)."""
-    return _finish(*cma_wed_state(costs))
-
-
-def cma_wed_state(costs: WedCosts) -> tuple[np.ndarray, np.ndarray]:
-    """Final DP row ``(C[m, ·], s[m, ·])``: best cost / start per end j.
-
-    Exposed because the row itself is useful — e.g. PSS derives its
-    best-window-in-suffix signal from the reversed pair's final row.
-    """
-    SUB, DEL, INS = costs.sub, costs.delete, costs.insert
-    m, n = SUB.shape
-    ins_pre = prefix_sums(INS)  # ins_pre[t] = INS[0] + … + INS[t-1]
-    del_pre = prefix_sums(DEL)
-
-    C = SUB[0].copy()  # i = 1 (paper): τq[1] substituted with τd[j]
-    S = np.arange(n)
-    for i in range(1, m):
-        # Delete τq[i]: τq[i-1] stays matched to τd[j].
-        c_del = C + DEL[i]
-        # Substitute τq[i] with τd[j], inserting τd[k+1:j-1] after τq[i-1]'s
-        # match at τd[k]:  sub + ins_pre[j] + min_{k<j}(C[i-1,k] - ins_pre[k+1]).
-        g = C - ins_pre[1 : n + 1]
-        gm, ga = running_min_argmin(g)
-        c_new = c_del.copy()
-        s_new = S.copy()
-        sub_ins = SUB[i, 1:] + ins_pre[1:n] + gm[: n - 1]
-        better = sub_ins < c_new[1:]
-        c_new[1:] = np.where(better, sub_ins, c_new[1:])
-        s_new[1:] = np.where(better, S[ga[: n - 1]], s_new[1:])
-        # Fresh-start: substitute τq[i] with τd[j] and delete the whole
-        # prefix τq[1:i-1] (all matched to τd[j] ⇒ the window starts at j).
-        # Eq. 7 writes this only for j = 1, but when deleting a point can be
-        # cheaper than substituting it (e.g. ERP with a query point near the
-        # reference), it is optimal at interior j too — without it the DP
-        # overestimates; brute-force tests pin the exact semantics.
-        fresh = SUB[i] + del_pre[i]
-        f_better = fresh < c_new
-        c_new = np.where(f_better, fresh, c_new)
-        s_new = np.where(f_better, np.arange(n), s_new)
-        C, S = c_new, s_new
-    return C, S
+    return cma("wed", costs)
 
 
 def cma_dtw(SUB: np.ndarray) -> Result:
-    """CMA for DTW (Eq. 8), exact, O(mn).
-
-    Row scan: ``C[i,j] = min(C[i-1,j], C[i,j-1], C[i-1,j-1]) + SUB[i,j]``
-    unrolls to ``P[j+1] + min_{k≤j}(a[k] - P[k])`` with
-    ``a[k] = min(C[i-1,k], C[i-1,k-1])`` and P the SUB-row prefix sums.
-    """
-    return _finish(*cma_dtw_state(SUB))
-
-
-def cma_dtw_state(SUB: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Final DP row of CMA-DTW (see :func:`cma_wed_state`)."""
-    m, n = SUB.shape
-    C = SUB[0].copy()
-    S = np.arange(n)
-    for i in range(1, m):
-        a = C.copy()
-        np.minimum(a[1:], C[:-1], out=a[1:])
-        # Which of (above, diag) achieved a[k] — carries the start position.
-        a_src = np.arange(n)
-        a_src[1:] = np.where(C[1:] <= C[:-1], a_src[1:], a_src[1:] - 1)
-        P = prefix_sums(SUB[i])
-        h = a - P[:n]
-        hm, ha = running_min_argmin(h)
-        C = P[1:] + hm
-        S = S[a_src[ha]]
-    return C, S
+    """CMA for DTW (Eq. 8), exact, O(mn)."""
+    return cma("dtw", SUB)
 
 
 def cma_fd(SUB: np.ndarray) -> Result:
-    """CMA for discrete Fréchet distance (Eq. 9), exact, O(mn).
-
-    The (max, min) algebra does not unroll into prefix sums, so rows use a
-    scalar loop — same asymptotics, larger constant.
-    """
-    return _finish(*cma_fd_state(SUB))
-
-
-def cma_fd_state(SUB: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Final DP row of CMA-FD (see :func:`cma_wed_state`)."""
-    m, n = SUB.shape
-    C = SUB[0].copy()
-    S = np.arange(n)
-    for i in range(1, m):
-        prev_c, prev_s = C, S
-        C = np.empty(n)
-        S = np.empty(n, dtype=np.int64)
-        C[0] = max(prev_c[0], SUB[i, 0])
-        S[0] = prev_s[0]
-        for j in range(1, n):
-            up, left, diag = prev_c[j], C[j - 1], prev_c[j - 1]
-            best = min(up, left, diag)
-            C[j] = best if best > SUB[i, j] else SUB[i, j]
-            if diag <= up and diag <= left:
-                S[j] = prev_s[j - 1]
-            elif left <= up:
-                S[j] = S[j - 1]
-            else:
-                S[j] = prev_s[j]
-    return C, S
-
-
-def cma(distance_kind: str, costs: WedCosts | np.ndarray) -> Result:
-    """Dispatch on kernel kind: ``'wed'`` | ``'dtw'`` | ``'fd'``."""
-    if distance_kind == "wed":
-        assert isinstance(costs, WedCosts)
-        return cma_wed(costs)
-    if distance_kind == "dtw":
-        return cma_dtw(np.asarray(costs))
-    if distance_kind == "fd":
-        return cma_fd(np.asarray(costs))
-    raise ValueError(f"unknown kernel kind {distance_kind!r}")
+    """CMA for discrete Fréchet distance (Eq. 9), exact, O(mn); the
+    (max, min) rows are a scalar loop — same asymptotics, larger constant."""
+    return cma("fd", SUB)

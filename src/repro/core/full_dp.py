@@ -1,92 +1,65 @@
 """Full-trajectory distance DPs (paper Eq. 2, Eq. 3, and discrete Fréchet).
 
-These compute Θ(τq, τd) for *whole* trajectories. They serve as the
-correctness reference for the CMA kernels (brute force over all O(n²)
-subtrajectories calls these) and as the per-start inner DP of ExactS.
+These compute Θ(τq, τd) for *whole* trajectories — the per-start inner DP
+of ExactS, the suffix distances of POS/PSS and, on the transposed pair, the
+incremental DP. The row recurrences are not written here: they are the
+shared row steps of :mod:`repro.core.kernels`, which CMA runs too. The
+classical DP differs from CMA only in the boundary row it starts from, the
+*anchored* one: the alignment must begin at τd[0]. For DTW that is the
+running sum of ``SUB[0]``, for FD its running max; for the WED family every
+window start j pays for inserting ``τd[:j]`` first.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from repro.core.costs import WedCosts
-from repro.core.kernels import prefix_sums, running_min_argmin
+from repro.core.kernels import prefix_sums, sub_rows, wed_rows
 
 
-def wed_full(costs: WedCosts) -> float:
-    """WED(τq, τd) by the classical DP (Eq. 2), rows vectorised.
-
-    Boundaries: ``wed(τq[1:i], τ∅) = Σ del``, ``wed(τ∅, τd[1:j]) = Σ ins``.
-    """
-    return float(wed_full_lastrow(costs)[-1])
-
-
-def wed_full_lastrow(costs: WedCosts) -> np.ndarray:
-    """Last DP row: ``row[j] = wed(τq, τd[1:j+1])`` for every prefix end j."""
-    SUB, DEL, INS = costs.sub, costs.delete, costs.insert
-    m, n = SUB.shape
-    ins_pre = prefix_sums(INS)
-    del_pre = prefix_sums(DEL)
-    # Row i = 0 descends from the τ∅ boundary row w[-1,j] = ins_pre[j+1].
-    b = np.minimum(ins_pre[:n] + SUB[0], ins_pre[1:] + DEL[0])
-    g = b - ins_pre[1:]
-    gm, _ = running_min_argmin(g)
-    w = ins_pre[1:] + np.minimum(del_pre[1], gm)
-    for i in range(1, m):
-        b = np.empty(n)
-        b[0] = min(del_pre[i] + SUB[i, 0], w[0] + DEL[i])
-        b[1:] = np.minimum(w[:-1] + SUB[i, 1:], w[1:] + DEL[i])
-        g = b - ins_pre[1:]
-        gm, _ = running_min_argmin(g)
-        w = ins_pre[1:] + np.minimum(del_pre[i + 1], gm)
-    return w
+def _anchored(kind: str, costs: WedCosts | np.ndarray):
+    """The classical DP's rows — the shared row steps from the anchored
+    boundary — and the WED insertion prefix sums that close them (None for
+    DTW / FD, whose rows need no closing)."""
+    if kind == "wed":
+        ins_pre = prefix_sums(costs.insert)
+        return wed_rows(costs, ins_pre, ins_pre[:-1]), ins_pre
+    if kind in ("dtw", "fd"):
+        SUB = np.asarray(costs)
+        first = np.add.accumulate(SUB[0]) if kind == "dtw" else np.maximum.accumulate(SUB[0])
+        return sub_rows(kind, SUB, first), None
+    raise ValueError(f"unknown kernel kind {kind!r}")
 
 
-def dtw_full(SUB: np.ndarray) -> float:
-    """DTW(τq, τd) by the classical DP (Eq. 3), rows vectorised."""
-    return float(dtw_full_lastrow(SUB)[-1])
+def full_lastrow(kind: str, costs: WedCosts | np.ndarray) -> np.ndarray:
+    """Last DP row: ``row[j] = Θ(τq, τd[:j+1])`` for every prefix end j."""
+    rows, ins_pre = _anchored(kind, costs)
+    for C, _ in rows:
+        pass
+    if ins_pre is None:
+        return C
+    # A WED row still ends at τd[j]'s match: insert what follows it, or
+    # delete every query point instead (Eq. 2's ``Σ del`` boundary).
+    deleted = prefix_sums(costs.delete)[-1]
+    return ins_pre[1:] + np.minimum(np.minimum.accumulate(C - ins_pre[1:]), deleted)
 
 
-def dtw_full_lastrow(SUB: np.ndarray) -> np.ndarray:
-    """Last DP row: ``row[j] = dtw(τq, τd[1:j+1])``."""
-    m, n = SUB.shape
-    w = np.cumsum(SUB[0])  # Eq. 3, i = 1 boundary
-    for i in range(1, m):
-        a = w.copy()  # a[0] = w[i-1,0]: first column only descends
-        np.minimum(a[1:], w[:-1], out=a[1:])
-        P = prefix_sums(SUB[i])
-        hm, _ = running_min_argmin(a - P[:n])
-        w = P[1:] + hm
-    return w
-
-
-def fd_full(SUB: np.ndarray) -> float:
-    """Discrete Fréchet distance by the classical DP."""
-    return float(fd_full_lastrow(SUB)[-1])
-
-
-def fd_full_lastrow(SUB: np.ndarray) -> np.ndarray:
-    """Last DP row: ``row[j] = fd(τq, τd[1:j+1])``."""
-    m, n = SUB.shape
-    w = np.maximum.accumulate(SUB[0])
-    for i in range(1, m):
-        prev = w
-        w = np.empty(n)
-        w[0] = max(prev[0], SUB[i, 0])
-        for j in range(1, n):
-            w[j] = max(min(prev[j], w[j - 1], prev[j - 1]), SUB[i, j])
-    return w
+def prefix_distances(kind: str, costs: WedCosts | np.ndarray):
+    """Yield ``Θ(τq[:i+1], τd)`` for i = 0, 1, …, one row step each."""
+    rows, ins_pre = _anchored(kind, costs)
+    if ins_pre is None:
+        for C, _ in rows:
+            yield float(C[-1])
+        return
+    deleted = 0.0
+    for (C, _), dele in zip(rows, costs.delete.tolist()):
+        deleted += dele  # closed as in full_lastrow, at the last prefix only
+        yield float(ins_pre[-1] + min((C - ins_pre[1:]).min(), deleted))
 
 
 def full_distance(kind: str, costs: WedCosts | np.ndarray) -> float:
     """Θ(τq, τd) for kernel kind ``'wed'`` | ``'dtw'`` | ``'fd'``."""
-    if kind == "wed":
-        assert isinstance(costs, WedCosts)
-        return wed_full(costs)
-    if kind == "dtw":
-        return dtw_full(np.asarray(costs))
-    if kind == "fd":
-        return fd_full(np.asarray(costs))
-    raise ValueError(f"unknown kernel kind {kind!r}")
+    return float(full_lastrow(kind, costs)[-1])
 
 
 def slice_costs(costs: WedCosts | np.ndarray, start: int, stop: int) -> WedCosts | np.ndarray:

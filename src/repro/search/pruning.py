@@ -3,8 +3,8 @@ comparison pruner (Appendix C; see DESIGN.md §4 for the substitution).
 
 GBP is a pure Catalyst dataflow (grid inverted index via joins/aggregates)
 with a numpy twin used by the sequential pipeline and the DuckDB oracle
-tests. KPF produces per-pair lower-bound estimates (Theorem B.1) that the
-driver applies in the paper's sequential best-so-far loop.
+tests. KPF is computed on the driver with numpy: per-pair lower-bound
+estimates (Theorem B.1) applied in the paper's sequential best-so-far loop.
 """
 from __future__ import annotations
 
@@ -143,62 +143,6 @@ def kpf_bound(
     if distance == "FD":
         return float(per_point.max())
     return float(per_point.sum() * len(q) / len(idx))
-
-
-def kpf_bounds_df(
-    spark: SparkSession,
-    query_points: DataFrame,
-    data_points: DataFrame,
-    distance: str,
-    *,
-    r: float = 0.5,
-    eps: float = 0.005,
-) -> DataFrame:
-    """KPF bounds as a Catalyst dataflow → (query_id, traj_id, bound).
-
-    Key points are selected by ``seq % stride == 0`` (uniform sampling);
-    the min-substitution per key point is a join + groupBy-min, summed and
-    rescaled per Eq. 28. Covers the sum-type distances (DTW / ERP / EDR);
-    the sequential driver uses :func:`kpf_bound` for FD.
-    """
-    stride = max(1, int(round(1.0 / r)))
-    kp = query_points.filter(F.col("seq") % stride == 0).select(
-        "query_id", "seq", F.col("x").alias("qx"), F.col("y").alias("qy")
-    )
-    joined = kp.crossJoin(
-        data_points.select(
-            "traj_id", F.col("x").alias("dx"), F.col("y").alias("dy")
-        )
-    )
-    dist2 = (F.col("qx") - F.col("dx")) ** 2 + (F.col("qy") - F.col("dy")) ** 2
-    per_kp = joined.groupBy("query_id", "traj_id", "seq").agg(
-        F.sqrt(F.min(dist2)).alias("min_sub")
-    )
-    if distance == "EDR":
-        per_kp = per_kp.withColumn(
-            "min_sub", F.when(F.col("min_sub") < eps, 0.0).otherwise(1.0)
-        )
-    elif distance == "ERP":
-        qnorm = F.sqrt(F.col("qx") ** 2 + F.col("qy") ** 2)
-        del_cost = kp.select(
-            "query_id", "seq", qnorm.alias("del_cost")
-        )
-        per_kp = per_kp.join(del_cost, ["query_id", "seq"]).withColumn(
-            "min_sub", F.least(F.col("min_sub"), F.col("del_cost"))
-        )
-    qlen = query_points.groupBy("query_id").agg(F.count("*").alias("m"))
-    nk = kp.groupBy("query_id").agg(F.count("*").alias("nk"))
-    return (
-        per_kp.groupBy("query_id", "traj_id")
-        .agg(F.sum("min_sub").alias("s"))
-        .join(qlen, "query_id")
-        .join(nk, "query_id")
-        .select(
-            "query_id",
-            "traj_id",
-            (F.col("s") * F.col("m") / F.col("nk")).alias("bound"),
-        )
-    )
 
 
 def kpf_sequential_filter(

@@ -1,23 +1,113 @@
 """Shared test utilities: tiny trajectory factories and an O(mn³)
-brute-force reference that is *independent* of the scan-trick kernels.
+brute-force reference.
+
+The reference is *independent* of ``src/``: it scores every window with
+the textbook memoised recursions below (Eq. 2, Eq. 3 and discrete Fréchet
+cell by cell), not with the shared row steps that CMA, the full-distance DP
+and the incremental DP all run.
 """
 from __future__ import annotations
 
-import numpy as np
+from functools import lru_cache
 
-from repro.core.full_dp import full_distance, slice_costs
+import numpy as np
+import pytest
+
+#: (m, n) shapes that stress the DP boundary rows: single points and n < m.
+EDGE_SHAPES = [
+    pytest.param((m, n), id=f"{m}x{n}") for m, n in ((1, 1), (1, 6), (6, 1), (7, 3))
+]
+
+
+def _wed_recursive(SUB, DEL, INS):
+    @lru_cache(maxsize=None)
+    def w(i, j):  # i, j = prefix lengths
+        if i == 0 and j == 0:
+            return 0.0
+        best = np.inf
+        if i > 0 and j > 0:
+            best = min(best, w(i - 1, j - 1) + SUB[i - 1][j - 1])
+        if i > 0:
+            best = min(best, w(i - 1, j) + DEL[i - 1])
+        if j > 0:
+            best = min(best, w(i, j - 1) + INS[j - 1])
+        return best
+
+    return w(len(DEL), len(INS))
+
+
+def _dtw_recursive(SUB):
+    m, n = len(SUB), len(SUB[0])
+
+    @lru_cache(maxsize=None)
+    def w(i, j):  # i, j = 0-indexed endpoints
+        if i == 0 and j == 0:
+            return SUB[0][0]
+        if i == 0:
+            return w(0, j - 1) + SUB[0][j]
+        if j == 0:
+            return w(i - 1, 0) + SUB[i][0]
+        return min(w(i - 1, j), w(i, j - 1), w(i - 1, j - 1)) + SUB[i][j]
+
+    return w(m - 1, n - 1)
+
+
+def _fd_recursive(SUB):
+    m, n = len(SUB), len(SUB[0])
+
+    @lru_cache(maxsize=None)
+    def w(i, j):
+        if i == 0 and j == 0:
+            return SUB[0][0]
+        if i == 0:
+            return max(w(0, j - 1), SUB[0][j])
+        if j == 0:
+            return max(w(i - 1, 0), SUB[i][0])
+        return max(min(w(i - 1, j), w(i, j - 1), w(i - 1, j - 1)), SUB[i][j])
+
+    return w(m - 1, n - 1)
+
+
+def recursive_distance(kind: str, costs) -> float:
+    """Θ(τq, τd) of kernel kind ``'wed'`` | ``'dtw'`` | ``'fd'`` by recursion."""
+    if kind == "wed":
+        return _wed_recursive(
+            tuple(map(tuple, costs.sub)), tuple(costs.delete), tuple(costs.insert)
+        )
+    SUB = tuple(map(tuple, np.asarray(costs)))
+    return _dtw_recursive(SUB) if kind == "dtw" else _fd_recursive(SUB)
+
+
+def _window(costs, s: int, e: int):
+    """Cost arrays of the data window ``τd[s:e+1]``."""
+    if hasattr(costs, "sub"):
+        return type(costs)(costs.sub[:, s : e + 1], costs.delete, costs.insert[s : e + 1])
+    return np.asarray(costs)[:, s : e + 1]
 
 
 def brute_force_best(kind: str, costs) -> tuple[float, int, int]:
-    """Enumerate every subtrajectory, full DP each — the O(mn³) ground truth."""
+    """Enumerate every subtrajectory, recurse on each — the ground truth."""
     n = (costs.sub if hasattr(costs, "sub") else np.asarray(costs)).shape[1]
     best, bs, be = np.inf, 0, 0
     for s in range(n):
         for e in range(s, n):
-            d = full_distance(kind, slice_costs(costs, s, e + 1))
+            d = recursive_distance(kind, _window(costs, s, e))
             if d < best:
                 best, bs, be = d, s, e
     return best, bs, be
+
+
+def random_pair(case, offset=0, *, max_m, max_n, min_n=1, kind="spatial"):
+    """A random (τq, τd) pair. ``case`` is either a seed (shape drawn below
+    ``max_m`` / ``max_n``) or an edge shape ``(m, n)`` from ``EDGE_SHAPES``."""
+    if isinstance(case, tuple):
+        rng = np.random.default_rng(offset)
+        m, n = case
+    else:
+        rng = np.random.default_rng(case + offset)
+        m, n = int(rng.integers(1, max_m)), int(rng.integers(min_n, max_n))
+    make = random_symbol_traj if kind == "symbol" else random_traj
+    return make(rng, m), make(rng, n)
 
 
 def random_traj(rng: np.random.Generator, n: int, dim: int = 2, scale: float = 1.0) -> np.ndarray:

@@ -13,15 +13,24 @@ from repro.baselines.spring import spring_dtw
 from repro.core import costs as C
 from repro.core.cma import cma
 from repro.core.full_dp import full_distance, slice_costs
-from tests.helpers import random_symbol_traj, random_traj
+from tests.helpers import EDGE_SHAPES, random_pair, random_traj
 
 
-def _pair(seed, max_m=9, max_n=16, kind="spatial"):
-    rng = np.random.default_rng(seed)
-    m, n = int(rng.integers(1, max_m)), int(rng.integers(2, max_n))
-    if kind == "symbol":
-        return random_symbol_traj(rng, m), random_symbol_traj(rng, n)
-    return random_traj(rng, m), random_traj(rng, n)
+def _pair(case, offset=0, max_m=9, max_n=16):
+    return random_pair(case, offset, max_m=max_m, max_n=max_n, min_n=2)
+
+
+def _costs(kind, q, d, ref=None):
+    """ERP for the WED family (reference point ``ref``), else DTW / FD."""
+    if kind == "wed":
+        return C.erp_costs(q, d, ref)
+    return (C.dtw_costs if kind == "dtw" else C.fd_costs)(q, d)
+
+
+def _refs(kind, d):
+    """The ERP reference points to try: the origin, and a point inside the
+    data as the pipeline's city centre is. DTW / FD have none."""
+    return [None, d.mean(axis=0)] if kind == "wed" else [None]
 
 
 _WED_BUILDERS = [
@@ -99,21 +108,27 @@ def test_gb_equals_cma_fd(seed):
 
 # --------------------------------------------------------- IncrementalDP ---
 @pytest.mark.parametrize("kind", ["wed", "dtw", "fd"])
-@pytest.mark.parametrize("seed", range(6))
-def test_incremental_dp_matches_full_dp(kind, seed):
-    q, d = _pair(seed + 800, max_m=7, max_n=12)
-    costs = (
-        C.erp_costs(q, d) if kind == "wed" else (C.dtw_costs if kind == "dtw" else C.fd_costs)(q, d)
-    )
+@pytest.mark.parametrize("case", [*range(6), *EDGE_SHAPES])
+def test_incremental_dp_matches_full_dp(kind, case):
+    q, d = _pair(case, 800, max_m=7, max_n=12)
     n = len(d)
-    rng = np.random.default_rng(seed)
-    s = int(rng.integers(0, n - 1))
-    dp = IncrementalDP(kind, costs)
-    dp.reset(s)
-    for t in range(s, n):
-        got = dp.append()
-        ref = full_distance(kind, slice_costs(costs, s, t + 1))
-        assert got == pytest.approx(ref), (kind, s, t)
+    for ref_point in _refs(kind, d):
+        costs = _costs(kind, q, d, ref_point)
+        dp = IncrementalDP(kind, costs)
+        for s in range(n):
+            dp.reset(s)
+            for t in range(s, n):
+                got = dp.append()
+                ref = full_distance(kind, slice_costs(costs, s, t + 1))
+                assert got == pytest.approx(ref), (kind, s, t)
+
+
+def test_incremental_dp_prices_unmatched_segments():
+    """Substitution dearer than delete + insert: nothing matches, so every
+    segment costs Σ del + Σ ins."""
+    costs = C.WedCosts(np.full((3, 5), 10.0), np.ones(3), np.ones(5))
+    dp = IncrementalDP("wed", costs)
+    assert [dp.append() for _ in range(5)] == [4.0, 5.0, 6.0, 7.0, 8.0]
 
 
 @pytest.mark.parametrize("kind", ["wed", "dtw", "fd"])
@@ -123,9 +138,7 @@ def test_best_window_in_suffix_signal(kind, seed):
     from repro.baselines.pos_pss import best_window_in_suffix
 
     q, d = _pair(seed + 950, max_m=6, max_n=10)
-    costs = (
-        C.erp_costs(q, d) if kind == "wed" else (C.dtw_costs if kind == "dtw" else C.fd_costs)(q, d)
-    )
+    costs = _costs(kind, q, d)
     bw = best_window_in_suffix(kind, costs)
     assert bw[0] == pytest.approx(cma(kind, costs)[0])
     assert np.all(np.diff(bw) >= -1e-12)
@@ -141,18 +154,17 @@ def test_best_window_in_suffix_signal(kind, seed):
 
 
 @pytest.mark.parametrize("kind", ["wed", "dtw", "fd"])
-@pytest.mark.parametrize("seed", range(6))
-def test_suffix_distances_match_full_dp(kind, seed):
-    q, d = _pair(seed + 900, max_m=7, max_n=12)
-    costs = (
-        C.erp_costs(q, d) if kind == "wed" else (C.dtw_costs if kind == "dtw" else C.fd_costs)(q, d)
-    )
-    sd = suffix_distances(kind, costs)
+@pytest.mark.parametrize("case", [*range(6), *EDGE_SHAPES])
+def test_suffix_distances_match_full_dp(kind, case):
+    q, d = _pair(case, 900, max_m=7, max_n=12)
     n = len(d)
-    for t in range(n):
-        assert sd[t] == pytest.approx(
-            full_distance(kind, slice_costs(costs, t, n))
-        ), t
+    for ref_point in _refs(kind, d):
+        costs = _costs(kind, q, d, ref_point)
+        sd = suffix_distances(kind, costs)
+        for t in range(n):
+            assert sd[t] == pytest.approx(
+                full_distance(kind, slice_costs(costs, t, n))
+            ), t
 
 
 # --------------------------------------------------------------- POS/PSS ---
@@ -161,9 +173,7 @@ def test_suffix_distances_match_full_dp(kind, seed):
 @pytest.mark.parametrize("kind", ["wed", "dtw", "fd"])
 def test_approx_algorithms_valid_and_never_better_than_optimal(alg, seed, kind):
     q, d = _pair(seed + 1100)
-    costs = (
-        C.erp_costs(q, d) if kind == "wed" else (C.dtw_costs if kind == "dtw" else C.fd_costs)(q, d)
-    )
+    costs = _costs(kind, q, d)
     dist, s, e = alg(kind, costs)
     n = len(d)
     assert 0 <= s <= e < n

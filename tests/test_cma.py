@@ -12,15 +12,11 @@ import pytest
 from repro.core import costs as C
 from repro.core.cma import cma, cma_dtw, cma_fd, cma_wed
 from repro.core.full_dp import full_distance, slice_costs
-from tests.helpers import brute_force_best, random_symbol_traj, random_traj, symbols
+from tests.helpers import EDGE_SHAPES, brute_force_best, random_pair, random_traj, symbols
 
 
-def _pair(seed, max_m=9, max_n=14, kind="spatial"):
-    rng = np.random.default_rng(seed)
-    m, n = int(rng.integers(1, max_m)), int(rng.integers(1, max_n))
-    if kind == "symbol":
-        return random_symbol_traj(rng, m), random_symbol_traj(rng, n)
-    return random_traj(rng, m), random_traj(rng, n)
+def _pair(case, offset=0, kind="spatial"):
+    return random_pair(case, offset, max_m=9, max_n=14, kind=kind)
 
 
 def _assert_cma_exact(kind, costs):
@@ -34,34 +30,41 @@ def _assert_cma_exact(kind, costs):
     assert full_distance(kind, slice_costs(costs, s, e + 1)) == pytest.approx(got)
 
 
-@pytest.mark.parametrize("seed", range(30))
-def test_cma_wed_unit_exact(seed):
-    q, d = _pair(seed, kind="symbol")
+@pytest.mark.parametrize("case", [*range(30), *EDGE_SHAPES])
+def test_cma_wed_unit_exact(case):
+    q, d = _pair(case, kind="symbol")
     _assert_cma_exact("wed", C.wed_unit_costs(q, d))
 
 
-@pytest.mark.parametrize("seed", range(30))
-def test_cma_erp_exact(seed):
-    q, d = _pair(seed + 1000)
+@pytest.mark.parametrize("case", [*range(30), *EDGE_SHAPES])
+def test_cma_erp_exact(case):
+    q, d = _pair(case, 1000)
     _assert_cma_exact("wed", C.erp_costs(q, d))
+    # A reference point inside the data, as the pipeline's city centre is,
+    # makes deleting a query point cheaper than substituting it at times.
+    _assert_cma_exact("wed", C.erp_costs(q, d, ref=d.mean(axis=0)))
 
 
-@pytest.mark.parametrize("seed", range(20))
-def test_cma_edr_exact(seed):
-    q, d = _pair(seed + 2000)
+@pytest.mark.parametrize("case", [*range(20), *EDGE_SHAPES])
+def test_cma_edr_exact(case):
+    q, d = _pair(case, 2000)
     _assert_cma_exact("wed", C.edr_costs(q, d, eps=1.0))
 
 
-@pytest.mark.parametrize("seed", range(30))
-def test_cma_dtw_exact(seed):
-    q, d = _pair(seed + 3000)
-    _assert_cma_exact("dtw", C.dtw_costs(q, d))
+@pytest.mark.parametrize("case", [*range(30), *EDGE_SHAPES])
+def test_cma_dtw_exact(case):
+    # Symbol points make many DP cells tie, so the window start must follow
+    # the up / left / diagonal choice exactly.
+    for kind in ("spatial", "symbol"):
+        q, d = _pair(case, 3000, kind=kind)
+        _assert_cma_exact("dtw", C.dtw_costs(q, d))
 
 
-@pytest.mark.parametrize("seed", range(30))
-def test_cma_fd_exact(seed):
-    q, d = _pair(seed + 4000)
-    _assert_cma_exact("fd", C.fd_costs(q, d))
+@pytest.mark.parametrize("case", [*range(30), *EDGE_SHAPES])
+def test_cma_fd_exact(case):
+    for kind in ("spatial", "symbol"):  # symbol: ties, as for DTW
+        q, d = _pair(case, 4000, kind=kind)
+        _assert_cma_exact("fd", C.fd_costs(q, d))
 
 
 @pytest.mark.parametrize(

@@ -1,68 +1,12 @@
 """Full-trajectory DP distances: recursion-reference checks + paper examples."""
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 import pytest
 
 from repro.core import costs as C
-from repro.core.full_dp import (
-    dtw_full,
-    fd_full,
-    full_distance,
-    wed_full,
-)
-from tests.helpers import random_symbol_traj, random_traj, symbols
-
-
-def _wed_recursive(SUB, DEL, INS):
-    @lru_cache(maxsize=None)
-    def w(i, j):  # i, j = prefix lengths
-        if i == 0 and j == 0:
-            return 0.0
-        best = np.inf
-        if i > 0 and j > 0:
-            best = min(best, w(i - 1, j - 1) + SUB[i - 1][j - 1])
-        if i > 0:
-            best = min(best, w(i - 1, j) + DEL[i - 1])
-        if j > 0:
-            best = min(best, w(i, j - 1) + INS[j - 1])
-        return best
-
-    return w(len(DEL), len(INS))
-
-
-def _dtw_recursive(SUB):
-    m, n = len(SUB), len(SUB[0])
-
-    @lru_cache(maxsize=None)
-    def w(i, j):  # i, j = 0-indexed endpoints
-        if i == 0 and j == 0:
-            return SUB[0][0]
-        if i == 0:
-            return w(0, j - 1) + SUB[0][j]
-        if j == 0:
-            return w(i - 1, 0) + SUB[i][0]
-        return min(w(i - 1, j), w(i, j - 1), w(i - 1, j - 1)) + SUB[i][j]
-
-    return w(m - 1, n - 1)
-
-
-def _fd_recursive(SUB):
-    m, n = len(SUB), len(SUB[0])
-
-    @lru_cache(maxsize=None)
-    def w(i, j):
-        if i == 0 and j == 0:
-            return SUB[0][0]
-        if i == 0:
-            return max(w(0, j - 1), SUB[0][j])
-        if j == 0:
-            return max(w(i - 1, 0), SUB[i][0])
-        return max(min(w(i - 1, j), w(i, j - 1), w(i - 1, j - 1)), SUB[i][j])
-
-    return w(m - 1, n - 1)
+from repro.core.full_dp import full_distance
+from tests.helpers import random_symbol_traj, random_traj, recursive_distance, symbols
 
 
 @pytest.mark.parametrize("seed", range(15))
@@ -71,10 +15,7 @@ def test_wed_matches_recursion(seed):
     q = random_symbol_traj(rng, int(rng.integers(1, 9)))
     d = random_symbol_traj(rng, int(rng.integers(1, 11)))
     costs = C.wed_unit_costs(q, d)
-    ref = _wed_recursive(
-        tuple(map(tuple, costs.sub)), tuple(costs.delete), tuple(costs.insert)
-    )
-    assert wed_full(costs) == pytest.approx(ref)
+    assert full_distance("wed", costs) == pytest.approx(recursive_distance("wed", costs))
 
 
 @pytest.mark.parametrize("seed", range(15))
@@ -83,10 +24,7 @@ def test_erp_matches_recursion(seed):
     q = random_traj(rng, int(rng.integers(1, 9)))
     d = random_traj(rng, int(rng.integers(1, 11)))
     costs = C.erp_costs(q, d)
-    ref = _wed_recursive(
-        tuple(map(tuple, costs.sub)), tuple(costs.delete), tuple(costs.insert)
-    )
-    assert wed_full(costs) == pytest.approx(ref)
+    assert full_distance("wed", costs) == pytest.approx(recursive_distance("wed", costs))
 
 
 @pytest.mark.parametrize("seed", range(15))
@@ -95,7 +33,7 @@ def test_dtw_matches_recursion(seed):
     q = random_traj(rng, int(rng.integers(1, 9)))
     d = random_traj(rng, int(rng.integers(1, 11)))
     SUB = C.dtw_costs(q, d)
-    assert dtw_full(SUB) == pytest.approx(_dtw_recursive(tuple(map(tuple, SUB))))
+    assert full_distance("dtw", SUB) == pytest.approx(recursive_distance("dtw", SUB))
 
 
 @pytest.mark.parametrize("seed", range(15))
@@ -104,14 +42,21 @@ def test_fd_matches_recursion(seed):
     q = random_traj(rng, int(rng.integers(1, 9)))
     d = random_traj(rng, int(rng.integers(1, 11)))
     SUB = C.fd_costs(q, d)
-    assert fd_full(SUB) == pytest.approx(_fd_recursive(tuple(map(tuple, SUB))))
+    assert full_distance("fd", SUB) == pytest.approx(recursive_distance("fd", SUB))
+
+
+def test_wed_unmatched_boundary():
+    """When substituting costs more than deleting plus inserting, the best
+    alignment matches nothing: Θ = Σ del + Σ ins (Eq. 2's boundaries)."""
+    costs = C.WedCosts(np.full((3, 4), 10.0), np.ones(3), np.ones(4))
+    assert full_distance("wed", costs) == recursive_distance("wed", costs) == 7.0
 
 
 def test_wed_unit_costs_equal_levenshtein():
     """Unit-cost WED (Example 1 setting) is exactly Levenshtein distance."""
-    assert wed_full(C.wed_unit_costs(symbols("kitten"), symbols("sitting"))) == 3.0
-    assert wed_full(C.wed_unit_costs(symbols("abc"), symbols("abc"))) == 0.0
-    assert wed_full(C.wed_unit_costs(symbols("abc"), symbols("z"))) == 3.0
+    assert full_distance("wed", C.wed_unit_costs(symbols("kitten"), symbols("sitting"))) == 3.0
+    assert full_distance("wed", C.wed_unit_costs(symbols("abc"), symbols("abc"))) == 0.0
+    assert full_distance("wed", C.wed_unit_costs(symbols("abc"), symbols("z"))) == 3.0
 
 
 def test_example1_structure_one_del_one_ins_two_sub():
@@ -119,7 +64,7 @@ def test_example1_structure_one_del_one_ins_two_sub():
     has unit-cost WED 4 — same accounting as the paper's Figure 4(a)."""
     q = symbols("bbcdxfgwj")  # q[2] extra, x / w substituted
     d = symbols("bcedyfghj")  # d[3]=e inserted, y / h substituted
-    assert wed_full(C.wed_unit_costs(q, d)) == pytest.approx(4.0)
+    assert full_distance("wed", C.wed_unit_costs(q, d)) == pytest.approx(4.0)
 
 
 def test_example2_dtw_multi_matching_is_cheaper_than_wed():
@@ -128,20 +73,20 @@ def test_example2_dtw_multi_matching_is_cheaper_than_wed():
     q = symbols("aabbc")
     d = symbols("abc")
     sub = (q[:, 0][:, None] != d[:, 0][None, :]).astype(float)
-    assert dtw_full(sub) == pytest.approx(0.0)  # a,a→a; b,b→b; c→c
-    assert wed_full(C.wed_unit_costs(q, d)) == pytest.approx(2.0)  # 2 deletions
+    assert full_distance("dtw", sub) == pytest.approx(0.0)  # a,a→a; b,b→b; c→c
+    assert full_distance("wed", C.wed_unit_costs(q, d)) == pytest.approx(2.0)  # 2 deletions
 
 
 def test_dtw_known_zero_on_resampled():
     q = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
     d = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-    assert dtw_full(C.dtw_costs(q, d)) == pytest.approx(0.0)
+    assert full_distance("dtw", C.dtw_costs(q, d)) == pytest.approx(0.0)
 
 
 def test_fd_known_value():
     q = np.array([[0.0, 0.0], [3.0, 0.0]])
     d = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]])
-    assert fd_full(C.fd_costs(q, d)) == pytest.approx(1.0)
+    assert full_distance("fd", C.fd_costs(q, d)) == pytest.approx(1.0)
 
 
 def test_full_distance_dispatch_and_errors():
@@ -159,6 +104,6 @@ def test_wed_triangle_and_identity(seed):
     """WED(τ, τ) = 0 under unit costs; distances are non-negative."""
     rng = np.random.default_rng(seed + 300)
     t = random_symbol_traj(rng, int(rng.integers(2, 10)))
-    assert wed_full(C.wed_unit_costs(t, t)) == pytest.approx(0.0)
+    assert full_distance("wed", C.wed_unit_costs(t, t)) == pytest.approx(0.0)
     u = random_symbol_traj(rng, int(rng.integers(2, 10)))
-    assert wed_full(C.wed_unit_costs(t, u)) >= 0
+    assert full_distance("wed", C.wed_unit_costs(t, u)) >= 0

@@ -17,7 +17,6 @@ from repro.search.pruning import (
     grid_cells,
     key_point_indices,
     kpf_bound,
-    kpf_bounds_df,
     kpf_sequential_filter,
     osf_bound,
 )
@@ -121,46 +120,6 @@ def test_kpf_bound_below_true_optimum_at_full_rate(distance, seed):
     bound = kpf_bound(q, d, distance, r=1.0, eps=0.5)
     opt = cma(kernel_kind(distance), build_pair_costs(distance, q, d, eps=0.5))[0]
     assert bound <= opt + 1e-9
-
-
-def test_kpf_bounds_df_matches_local(spark, sets):
-    queries, data = sets
-    qpts = explode_points(trajectories_df(spark, queries)).withColumnRenamed(
-        "traj_id", "query_id"
-    )
-    dpts = explode_points(trajectories_df(spark, data))
-    got = kpf_bounds_df(spark, qpts, dpts, "DTW", r=0.5).toPandas()
-    for _, row in got.iterrows():
-        ref = kpf_bound(
-            queries[int(row.query_id)], data[int(row.traj_id)], "DTW", r=0.5
-        )
-        assert row.bound == pytest.approx(ref, rel=1e-6), (row.query_id, row.traj_id)
-
-
-def test_kpf_bounds_df_matches_duckdb_oracle(spark, sets):
-    queries, data = sets
-    qpts = explode_points(trajectories_df(spark, queries)).withColumnRenamed(
-        "traj_id", "query_id"
-    )
-    dpts = explode_points(trajectories_df(spark, data))
-    got = kpf_bounds_df(spark, qpts, dpts, "DTW", r=0.5)
-    assert_equivalent(
-        got,
-        """
-        WITH kp AS (SELECT query_id, seq, x qx, y qy FROM qpts WHERE seq % 2 = 0),
-             per AS (
-               SELECT kp.query_id, d.traj_id, kp.seq,
-                      min(sqrt((kp.qx-d.x)^2 + (kp.qy-d.y)^2)) AS min_sub
-               FROM kp CROSS JOIN dpts d GROUP BY kp.query_id, d.traj_id, kp.seq),
-             qlen AS (SELECT query_id, count(*) m FROM qpts GROUP BY query_id),
-             nk AS (SELECT query_id, count(*) nk FROM kp GROUP BY query_id)
-        SELECT per.query_id, per.traj_id, sum(min_sub) * any_value(m) / any_value(nk) AS bound
-        FROM per JOIN qlen USING (query_id) JOIN nk USING (query_id)
-        GROUP BY per.query_id, per.traj_id
-        """,
-        qpts=qpts,
-        dpts=dpts,
-    )
 
 
 def test_kpf_sequential_filter_prunes_and_keeps_optimum():
