@@ -3,8 +3,9 @@
 Times the stages of the Table 3 pipeline on bench-scale data: the GBP
 Catalyst dataflow, the KPF bound computation, and the distributed
 mapInPandas search per algorithm (CMA vs ExactS is the paper's headline
-ratio). The full table is produced by ``jobs/table3.py``; paper vs measured
-numbers live in EXPERIMENTS.md.
+ratio), unpruned and over the GBP → KPF survivors. The full table is
+produced by ``jobs/table3.py``; paper vs measured numbers live in
+EXPERIMENTS.md.
 """
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ import pytest
 
 from repro.eval.datasets import load_profile
 from repro.eval.table2 import city_params
+from repro.eval.table3 import _kpf_survivors
 from repro.search.distributed import pairwise_search_df, topk_df
 from repro.search.pruning import gbp_candidates_df, kpf_bound
 from repro.synth_data import explode_points, trajectories_df
@@ -78,3 +80,25 @@ def test_bench_distributed_search(benchmark, spark, porto, algorithm):
     rows = benchmark.pedantic(run, rounds=2, iterations=1, warmup_rounds=1)
     assert len(rows) == len(queries)
     subset.unpersist()
+
+
+def test_bench_distributed_search_survivors(benchmark, spark, porto):
+    """The timed stage of a Porto CMA-DTW cell: the GBP → KPF survivors,
+    built as ``run_table3`` builds them, broadcast-joined to the data."""
+    profile, queries, data, data_df, qpts, dpts = porto
+    params = city_params(profile.city, "DTW", bbox_scale=profile.bbox_scale)
+    got = gbp_candidates_df(
+        spark, qpts, dpts, profile.gbp_eps, profile.gbp_mu
+    ).collect()
+    gbp = {(int(r.query_id), int(r.traj_id)) for r in got}
+    survivors = _kpf_survivors(queries, data, gbp, "DTW", params, profile.kpf_r)
+    pairs_df = spark.createDataFrame(sorted(survivors), "query_id long, traj_id long")
+
+    def run():
+        pair_df = pairwise_search_df(
+            spark, queries, data_df, "CMA", "DTW", pairs_df=pairs_df, **params
+        )
+        return topk_df(pair_df, 1).collect()
+
+    rows = benchmark.pedantic(run, rounds=3, iterations=1, warmup_rounds=1)
+    assert len(rows) == len({q for q, _ in survivors})

@@ -146,7 +146,7 @@ def run_table3(
             )
             if spark is not None:
                 pairs_df = spark.createDataFrame(
-                    sorted(survivors) or [(-1, -1)], "query_id long, traj_id long"
+                    sorted(survivors), "query_id long, traj_id long"
                 )
             # --- timed search phase, per algorithm ---
             for algorithm in algorithms:

@@ -1,10 +1,12 @@
 """Distributed similar-subtrajectory search (the repro's Spark dataflow).
 
-Per the reproduction hint, the O(mn) per-pair kernel is applied as an
-Arrow-backed ``mapInPandas`` UDF over partitioned trajectory data: the
-(small) query set is broadcast, each partition of data trajectories runs the
-numpy kernels batch-wise, and the final top-K per query is a Catalyst window
-query (oracle-checked against DuckDB in tests).
+The O(mn) per-pair kernel runs in an Arrow-backed ``mapInPandas`` UDF. The
+(small) query set is broadcast, and every row the UDF sees is one
+(query, trajectory) pair built on the cached data partitions without a
+shuffle: the pruning survivors are broadcast-joined to the trajectories,
+or, unpruned, each trajectory row is exploded over every query id. The
+final top-K per query is a Catalyst window query (oracle-checked against
+DuckDB in tests).
 """
 from __future__ import annotations
 
@@ -30,32 +32,23 @@ def pairwise_search_df(
     *,
     pairs_df: DataFrame | None = None,
     policy: RLSPolicy | None = None,
-    num_partitions: int | None = None,
     **params,
 ) -> DataFrame:
     """(query_id, traj_id, dist, start, end) for every surviving pair.
 
     ``data_df`` is ``(traj_id, pts)``; ``pairs_df`` (optional, from the
     pruning stages) is ``(query_id, traj_id)`` and restricts the search via
-    a join — a ``None`` means the full cross product with the query set.
+    a broadcast join — a ``None`` means the full cross product with the
+    query set.
     """
-    if pairs_df is not None:
-        # One row per surviving (query, trajectory) pair, spread round-robin:
-        # pairs sharing a long trajectory must not serialise in one task —
-        # the straggler pair, not the partition count, bounds wall-clock.
-        work = data_df.join(pairs_df, "traj_id", "inner").select(
-            "traj_id", "pts", F.col("query_id").alias("only_qid")
-        )
-        work = work.repartition(
-            num_partitions or spark.sparkContext.defaultParallelism * 2
-        )
+    if pairs_df is None:
+        qids = F.array(*[F.lit(qid) for qid in range(len(queries))])
+        work = data_df.withColumn("query_id", F.explode(qids))
     else:
-        work = data_df.withColumn("only_qid", F.lit(None).cast("long"))
-        if num_partitions:
-            work = work.repartition(num_partitions)
+        work = data_df.join(F.broadcast(pairs_df), "traj_id")
 
     bq = spark.sparkContext.broadcast(
-        [(qid, np.asarray(q, dtype=np.float64)) for qid, q in enumerate(queries)]
+        [np.asarray(q, dtype=np.float64) for q in queries]
     )
     bp = spark.sparkContext.broadcast(policy)
 
@@ -64,26 +57,22 @@ def pairwise_search_df(
         policy_local = bp.value
         for pdf in batches:
             out = {"query_id": [], "traj_id": [], "dist": [], "start": [], "end": []}
-            for tid, pts, only_qid in zip(
-                pdf["traj_id"], pdf["pts"], pdf["only_qid"]
-            ):
-                d = np.asarray([np.asarray(p) for p in pts], dtype=np.float64)
-                # only_qid set ⇒ this row is one (query, trajectory) pair;
-                # null (None/NaN) ⇒ run every query against the trajectory.
-                todo = (
-                    queries_local
-                    if only_qid is None or only_qid != only_qid
-                    else [(int(only_qid), queries_local[int(only_qid)][1])]
+            prev_tid = d = None
+            for tid, pts, qid in zip(pdf["traj_id"], pdf["pts"], pdf["query_id"]):
+                # Both plans emit the pairs of one trajectory as adjacent
+                # rows, so its points are decoded once per run.
+                if tid != prev_tid:
+                    d = np.asarray([np.asarray(p) for p in pts], dtype=np.float64)
+                    prev_tid = tid
+                dist, s, e = search_pair(
+                    algorithm, distance, queries_local[qid], d,
+                    policy=policy_local, **params,
                 )
-                for qid, q in todo:
-                    dist, s, e = search_pair(
-                        algorithm, distance, q, d, policy=policy_local, **params
-                    )
-                    out["query_id"].append(qid)
-                    out["traj_id"].append(tid)
-                    out["dist"].append(float(dist))
-                    out["start"].append(int(s))
-                    out["end"].append(int(e))
+                out["query_id"].append(qid)
+                out["traj_id"].append(tid)
+                out["dist"].append(float(dist))
+                out["start"].append(int(s))
+                out["end"].append(int(e))
             yield pd.DataFrame(out).astype(
                 {
                     "query_id": "int64",

@@ -1,10 +1,12 @@
 """Pruning substrates: GBP, KPF (paper Appendix B) and an OSF-like
 comparison pruner (Appendix C; see DESIGN.md §4 for the substitution).
 
-GBP is a pure Catalyst dataflow (grid inverted index via joins/aggregates)
-with a numpy twin used by the sequential pipeline and the DuckDB oracle
-tests. KPF is computed on the driver with numpy: per-pair lower-bound
-estimates (Theorem B.1) applied in the paper's sequential best-so-far loop.
+GBP is a pure Catalyst dataflow with a numpy twin used by the sequential
+pipeline and the DuckDB oracle tests: the small query-cell table is
+broadcast as the grid inverted index, so the data points are joined to it
+where they lie and only the per-pair ``close`` counts are shuffled. KPF is
+computed on the driver with numpy: per-pair lower-bound estimates
+(Theorem B.1) applied in the paper's sequential best-so-far loop.
 """
 from __future__ import annotations
 
@@ -57,9 +59,11 @@ def gbp_candidates_df(
 
     ``query_points``: (query_id, seq, x, y); ``data_points``:
     (traj_id, seq, x, y). Query cells are expanded to their 3×3
-    neighbourhood (posexplode of the offset array), equality-joined to data
-    point cells — the inverted grid index — then ``close`` is
-    ``count(distinct query seq)`` per pair, filtered at ``μ·m``.
+    neighbourhood (explode of the offset array) — already distinct, as each
+    (query, seq) has one cell — and broadcast as the inverted grid index
+    that every data point's cell equality-joins in place, with no shuffle;
+    ``close`` is ``count(distinct query seq)`` per pair, filtered at
+    ``μ·m`` against the broadcast query lengths.
     """
     offs = F.array(
         *[
@@ -82,21 +86,20 @@ def gbp_candidates_df(
             (F.col("cx") + F.col("off.ox")).alias("cx"),
             (F.col("cy") + F.col("off.oy")).alias("cy"),
         )
-        .distinct()
     )
     dcells = data_points.select(
         "traj_id",
         F.floor(F.col("x") / eps).alias("cx"),
         F.floor(F.col("y") / eps).alias("cy"),
-    ).distinct()
+    )
     close = (
-        qcells.join(dcells, ["cx", "cy"])
+        dcells.join(F.broadcast(qcells), ["cx", "cy"])
         .groupBy("query_id", "traj_id")
         .agg(F.countDistinct("seq").alias("close"))
     )
     qlen = query_points.groupBy("query_id").agg(F.count("*").alias("m"))
     return (
-        close.join(qlen, "query_id")
+        close.join(F.broadcast(qlen), "query_id")
         .filter(F.col("close") >= mu * F.col("m"))
         .select("query_id", "traj_id")
     )

@@ -4,6 +4,7 @@ Generators are deterministic in ``seed`` so the DuckDB oracle sees
 identical input.
 """
 import numpy as np
+import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 
@@ -116,7 +117,13 @@ def make_queries(
 
 
 def trajectories_df(spark: SparkSession, trajs: list[np.ndarray]) -> DataFrame:
-    """Spark DataFrame ``(traj_id: long, pts: array<array<double>>)``."""
+    """Spark DataFrame ``(traj_id: long, pts: array<array<double>>)``.
+
+    Built from a pandas frame: with Arrow on, Spark ships it to the JVM as
+    Arrow batches and plans it as a ``LocalTableScan``, so reading it runs
+    no Python worker (a row list would become a Python RDD, re-run by every
+    uncached read such as GBP's exploded query points).
+    """
     from pyspark.sql.types import (
         ArrayType,
         DoubleType,
@@ -131,8 +138,10 @@ def trajectories_df(spark: SparkSession, trajs: list[np.ndarray]) -> DataFrame:
             StructField("pts", ArrayType(ArrayType(DoubleType(), False), False), False),
         ]
     )
-    rows = [(i, [[float(x), float(y)] for x, y in t]) for i, t in enumerate(trajs)]
-    return spark.createDataFrame(rows, schema)
+    pts = [np.asarray(t, dtype=np.float64).tolist() for t in trajs]
+    return spark.createDataFrame(
+        pd.DataFrame({"traj_id": np.arange(len(trajs)), "pts": pts}), schema
+    )
 
 
 def explode_points(df: DataFrame) -> DataFrame:

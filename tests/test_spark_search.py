@@ -1,5 +1,6 @@
 """Distributed search: Spark path ≡ driver path; relational steps (top-K,
-GBP candidates, KPF bounds) oracle-checked against DuckDB SQL."""
+exploded points) oracle-checked against DuckDB SQL; plan shapes (trajectory
+frames are local relations, no shuffle below the search UDF)."""
 from __future__ import annotations
 
 import numpy as np
@@ -103,6 +104,55 @@ def test_restricted_pairs_df_limits_search(spark, tiny, tiny_df):
         pairwise_results("CMA", "DTW", queries, data, pairs=set(keep))
     ).sort_values(["query_id", "traj_id"])
     assert np.allclose(got["dist"].to_numpy(), ref["dist"].to_numpy())
+
+
+def _plan(df) -> str:
+    return df._jdf.queryExecution().executedPlan().toString()
+
+
+def test_trajectories_df_is_a_local_relation(spark, tiny):
+    """Arrow-built: scanned in the JVM, no Python RDD behind it."""
+    plan = _plan(trajectories_df(spark, tiny[1]))
+    assert "LocalTableScan" in plan
+    assert "ExistingRDD" not in plan
+
+
+def test_trajectories_df_round_trips_bit_for_bit(spark, tiny):
+    _, data = tiny
+    trajs = [*data, np.array([[0.1, -2.5e-300]]), np.array([[np.pi, 1 / 3]] * 2)]
+    rows = trajectories_df(spark, trajs).collect()
+    assert [r.traj_id for r in rows] == list(range(len(trajs)))
+    for r in rows:
+        got = np.array(r.pts, dtype=np.float64)
+        assert got.shape == trajs[r.traj_id].shape
+        assert got.tobytes() == trajs[r.traj_id].tobytes()
+
+
+@pytest.mark.parametrize("pruned", [True, False])
+def test_pair_search_plan_has_no_shuffle(spark, tiny, tiny_df, pruned):
+    """Below the UDF: the survivors' broadcast (pruned) or nothing
+    (unpruned explode) — no exchange of the trajectory rows."""
+    queries, _ = tiny
+    pairs_df = (
+        spark.createDataFrame([(0, 1), (2, 5)], "query_id long, traj_id long")
+        if pruned
+        else None
+    )
+    plan = _plan(
+        pairwise_search_df(spark, queries, tiny_df, "CMA", "DTW", pairs_df=pairs_df)
+    )
+    assert "MapInPandas" in plan
+    assert plan.count("Exchange") == plan.count("BroadcastExchange") == int(pruned)
+
+
+def test_empty_pairs_df_gives_empty_results(spark, tiny, tiny_df):
+    queries, _ = tiny
+    pairs_df = spark.createDataFrame([], "query_id long, traj_id long")
+    pair_df = pairwise_search_df(
+        spark, queries, tiny_df, "CMA", "DTW", pairs_df=pairs_df
+    )
+    assert pair_df.collect() == []
+    assert topk_df(pair_df, 1).collect() == []
 
 
 def test_explode_points_matches_duckdb(spark, tiny_df):
