@@ -13,9 +13,8 @@ import pytest
 
 from repro.eval.datasets import load_profile
 from repro.eval.table2 import city_params
-from repro.eval.table3 import _kpf_survivors
 from repro.search.distributed import pairwise_search_df, topk_df
-from repro.search.pruning import gbp_candidates_df, kpf_bound
+from repro.search.pruning import gbp_candidates_df, kpf_bound, kpf_survivors
 from repro.synth_data import explode_points, trajectories_df
 
 
@@ -91,7 +90,7 @@ def test_bench_distributed_search_survivors(benchmark, spark, porto):
         spark, qpts, dpts, profile.gbp_eps, profile.gbp_mu
     ).collect()
     gbp = {(int(r.query_id), int(r.traj_id)) for r in got}
-    survivors = _kpf_survivors(queries, data, gbp, "DTW", params, profile.kpf_r)
+    survivors = kpf_survivors(queries, data, gbp, "DTW", params, profile.kpf_r)
     pairs_df = spark.createDataFrame(sorted(survivors), "query_id long, traj_id long")
 
     def run():

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.cma import cma_row
 from repro.core.costs import WedCosts
 from repro.core.full_dp import full_lastrow, prefix_distances, slice_costs
 
@@ -48,14 +47,11 @@ class IncrementalDP:
 
     def reset(self, start: int) -> None:
         """Begin an empty segment whose first point will be ``τd[start]``."""
-        self.start = start
-        self.t = start - 1
         suffix = _transpose(slice_costs(self.costs, start, self.n))
         self._dists = prefix_distances(self.kind, suffix)
 
     def append(self) -> float:
         """Extend the segment with the next data point; return Θ(τq, τd[s:t])."""
-        self.t += 1
         return next(self._dists)
 
 
@@ -78,35 +74,20 @@ def suffix_distances(kind: str, costs: WedCosts | np.ndarray) -> np.ndarray:
     return row[::-1].copy()  # sd[t] = row[n - 1 - t]
 
 
-def best_window_in_suffix(kind: str, costs: WedCosts | np.ndarray) -> np.ndarray:
-    """``bw[t] = min_{t ≤ s ≤ e} Θ(τq, τd[s:e])`` — the best subtrajectory
-    entirely inside the suffix, PSS's look-ahead signal.
-
-    One CMA pass on the reversed pair gives the best window *starting* at
-    each s; a right-to-left running min finishes the job. O(mn).
-    """
-    C_rev, _ = cma_row(kind, _reverse_costs(costs))
-    best_start = C_rev[::-1]  # best window starting at s
-    return np.minimum.accumulate(best_start[::-1])[::-1].copy()
-
-
 def _split_scan(kind, costs, should_split) -> Result:
-    """Shared scan: ``should_split(cur, prev, t, s)`` decides restarts,
-    where ``cur = Θ(τq, τd[s:t])`` and ``prev`` is the previous value."""
+    """Shared scan: ``should_split(cur, t, s)`` decides restarts, where
+    ``cur = Θ(τq, τd[s:t])``."""
     dp = IncrementalDP(kind, costs)
     n = dp.n
     best: Result = (np.inf, 0, 0)
-    s, prev = 0, np.inf
+    s = 0
     for t in range(n):
         cur = dp.append()
         if cur < best[0]:
             best = (cur, s, t)
-        if t + 1 < n and should_split(cur, prev, t, s):
+        if t + 1 < n and should_split(cur, t, s):
             s = t + 1
             dp.reset(s)
-            prev = np.inf
-        else:
-            prev = cur
     return best
 
 
@@ -116,7 +97,7 @@ def pos(kind: str, costs: WedCosts | np.ndarray) -> Result:
     (``Θ(τq, τd[s:t]) < Θ(τq, τd[s:n])``) — the split decision looks only
     at the segment *before* the split point (paper §6.1)."""
     sd = suffix_distances(kind, costs)
-    return _split_scan(kind, costs, lambda cur, prev, t, s: cur < sd[s])
+    return _split_scan(kind, costs, lambda cur, t, s: cur < sd[s])
 
 
 def pss(kind: str, costs: WedCosts | np.ndarray) -> Result:
@@ -127,5 +108,5 @@ def pss(kind: str, costs: WedCosts | np.ndarray) -> Result:
     Strictly better-informed splits than POS; same O(mn)."""
     sd = suffix_distances(kind, costs)
     return _split_scan(
-        kind, costs, lambda cur, prev, t, s: min(cur, sd[t + 1]) < sd[s]
+        kind, costs, lambda cur, t, s: min(cur, sd[t + 1]) < sd[s]
     )

@@ -19,8 +19,6 @@ import numpy as np
 
 #: Distance-function families: which kernel a function routes to.
 WED_FAMILY = ("WED", "EDR", "ERP", "NetERP", "NetEDR", "SURS")
-SUB_ONLY_FAMILY = ("DTW", "FD")
-ALL_DISTANCES = WED_FAMILY + SUB_ONLY_FAMILY
 
 
 @dataclass(frozen=True)
@@ -102,7 +100,7 @@ def build_costs(
     eps: float = 0.005,
     ref: np.ndarray | None = None,
 ) -> WedCosts | np.ndarray:
-    """Build cost arrays for ``distance`` ∈ ``ALL_DISTANCES`` (spatial fns).
+    """Build cost arrays for a spatial ``distance``: DTW, FD or WED, EDR, ERP.
 
     Returns :class:`WedCosts` for the WED family, a bare SUB matrix for
     DTW/FD. Road-network functions (NetERP/NetEDR/SURS) are built by

@@ -44,11 +44,11 @@ def train_policies(
     n_pairs: int = 6,
     epochs: int = 2,
     seed: int = 0,
-) -> dict[tuple[str, bool], RLSPolicy]:
-    """One tabular policy per (distance, skip) pair, trained on a small
-    sample of (query, data) episodes (DESIGN.md §4 substitution)."""
+) -> dict[tuple[str, str], RLSPolicy]:
+    """One tabular policy per (distance, ``"RLS"`` | ``"RLS-Skip"``), trained
+    on a small sample of (query, data) episodes (DESIGN.md §4 substitution)."""
     rng = np.random.default_rng(seed)
-    out: dict[tuple[str, bool], RLSPolicy] = {}
+    out: dict[tuple[str, str], RLSPolicy] = {}
     for distance in distances:
         kind = kernel_kind(distance)
         episodes = []
@@ -56,8 +56,8 @@ def train_policies(
             q = queries[int(rng.integers(len(queries)))]
             d = data[int(rng.integers(len(data)))]
             episodes.append((kind, build_pair_costs(distance, q, d, **params_for(distance))))
-        for skip in (False, True):
-            out[(distance, skip)] = RLSPolicy(skip=skip, seed=seed).train(
+        for alg in ("RLS", "RLS-Skip"):
+            out[(distance, alg)] = RLSPolicy(skip=alg == "RLS-Skip", seed=seed).train(
                 episodes, epochs=epochs
             )
     return out
@@ -89,13 +89,9 @@ def run_table2(
                 for alg in algorithms:
                     if not supports(alg, distance):
                         continue
-                    policy = (
-                        policies[(distance, alg == "RLS-Skip")]
-                        if alg in ("RLS", "RLS-Skip")
-                        else None
-                    )
                     found, _, _ = search_pair(
-                        alg, distance, q, data[tid], policy=policy, **params
+                        alg, distance, q, data[tid],
+                        policy=policies.get((distance, alg)), **params,
                     )
                     per_alg[alg].append(
                         metrics.effectiveness(

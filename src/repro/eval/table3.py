@@ -2,68 +2,84 @@
 
 Pipeline per (dataset, distance), mirroring the paper's Algorithm 3:
 
-1. **GBP** (shared, Catalyst dataflow): grid inverted index → surviving
-   (query, trajectory) pairs.
-2. **KPF** (shared): lower-bound estimates for the survivors; a quick CMA
-   probe of each query's minimum-bound trajectory seeds the best-so-far,
-   and pairs whose bound exceeds it are dropped (two-phase adaptation of
-   the paper's sequential loop — see DESIGN.md §5).
-3. **Search** (timed per algorithm): the per-pair kernel over surviving
-   pairs via ``mapInPandas``, then the top-1-per-query window query.
+1. **GBP** (shared): grid inverted index → surviving (query, trajectory) pairs.
+2. **KPF** (shared): ``kpf_survivors`` drops the pairs whose lower bound
+   exceeds a CMA-probed best-so-far (see DESIGN.md §5).
+3. **Search** (timed per algorithm): the per-pair kernel over the surviving
+   pairs, then the top-1 per query.
 
-ExactS cells whose *projected* cost (sampled per-pair time × pairs ÷
-parallelism) exceeds ``overtime_s`` are reported as ``overtime`` — the
-paper reports exactly that for ExactS on Beijing.
+The backend is picked once per profile: with a SparkSession GBP is a
+Catalyst dataflow and the search runs in ``mapInPandas``; without one their
+driver twins run. ExactS cells whose *projected* cost (sampled per-pair
+time × pairs ÷ parallelism) exceeds ``overtime_s`` are reported as
+``overtime`` — the paper reports exactly that for ExactS on Beijing.
 """
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
+from typing import NamedTuple
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.baselines.rls import RLSPolicy
 from repro.eval.datasets import dataset_label, load_profile
-from repro.eval.table2 import city_params, train_policies
+from repro.eval.table2 import (
+    DEFAULT_ALGORITHMS,
+    DEFAULT_DISTANCES,
+    city_params,
+    train_policies,
+)
 from repro.search.api import search_pair, supports
 from repro.search.distributed import pairwise_search_df, topk_df
 from repro.search.local import pairwise_results, topk
-from repro.search.pruning import (
-    gbp_candidates_df,
-    gbp_candidates_local,
-    kpf_bound,
-)
+from repro.search.pruning import gbp_candidates_df, gbp_candidates_local, kpf_survivors
 from repro.synth_data import explode_points, trajectories_df
 
-DEFAULT_DISTANCES = ("DTW", "EDR", "ERP", "FD")
-DEFAULT_ALGORITHMS = ("POS", "PSS", "RLS", "RLS-Skip", "CMA", "ExactS", "Spring", "GB")
+
+class _Backend(NamedTuple):
+    gbp: Callable  # (eps, mu) → surviving (query_id, traj_id) pairs
+    prepare: Callable  # pairs → top1's input, built outside the timed region
+    top1: Callable  # (algorithm, distance, prepared, **params) → top-1 per query
+    parallelism: int
+    close: Callable
 
 
-def _kpf_survivors(
-    queries, data, pairs: set[tuple[int, int]], distance: str, params, r: float
-) -> set[tuple[int, int]]:
-    """Two-phase KPF: probe each query's min-bound pair with CMA to seed the
-    best-so-far, keep pairs whose bound does not exceed it."""
-    bounds = {
-        (qid, tid): kpf_bound(
-            queries[qid], data[tid], distance, r=r, eps=params.get("eps", 0.25),
-            ref=params.get("ref"),
+def _backend(spark: SparkSession | None, queries, data) -> _Backend:
+    """Spark dataflows when ``spark`` is given, else their driver twins."""
+    if spark is None:
+        return _Backend(
+            gbp=lambda eps, mu: gbp_candidates_local(queries, data, eps, mu),
+            prepare=lambda pairs: pairs,
+            top1=lambda alg, dist, pairs, **kw: topk(
+                pairwise_results(alg, dist, queries, data, pairs=pairs, **kw), 1
+            ),
+            parallelism=1,
+            close=lambda: None,
         )
-        for qid, tid in pairs
-    }
-    best: dict[int, float] = {}
-    for qid in {q for q, _ in pairs}:
-        cands = [(b, t) for (q, t), b in bounds.items() if q == qid]
-        if not cands:
-            continue
-        _, probe_tid = min(cands)
-        best[qid] = search_pair("CMA", distance, queries[qid], data[probe_tid], **params)[0]
-    return {
-        (qid, tid)
-        for (qid, tid), b in bounds.items()
-        if b <= best.get(qid, np.inf) + 1e-12
-    }
+    data_df = trajectories_df(spark, data).cache()
+    data_df.count()
+    qpts = explode_points(trajectories_df(spark, queries)).withColumnRenamed(
+        "traj_id", "query_id"
+    )
+    dpts = explode_points(data_df)
+
+    def gbp(eps: float, mu: float) -> set[tuple[int, int]]:
+        got = gbp_candidates_df(spark, qpts, dpts, eps, mu).collect()
+        return {(int(r.query_id), int(r.traj_id)) for r in got}
+
+    return _Backend(
+        gbp=gbp,
+        prepare=lambda pairs: spark.createDataFrame(
+            sorted(pairs), "query_id long, traj_id long"
+        ),
+        top1=lambda alg, dist, pairs, **kw: topk_df(
+            pairwise_search_df(spark, queries, data_df, alg, dist, pairs_df=pairs, **kw), 1
+        ).collect(),
+        parallelism=spark.sparkContext.defaultParallelism,
+        close=data_df.unpersist,
+    )
 
 
 def _estimate_cell_seconds(
@@ -105,8 +121,8 @@ def run_table3(
     """Rows: (dataset, algorithm, distance, seconds, pruned_pairs, searched_pairs).
 
     ``seconds`` is a float, or ``inf`` for an over-budget cell (rendered as
-    ``overtime``). ``spark=None`` runs the all-driver variant of the same
-    pipeline (used by tests).
+    ``overtime``). ``spark=None`` runs the same pipeline on the driver alone:
+    the sequential column of ``jobs/table3.py``.
     """
     rows = []
     for pname in profile_names:
@@ -117,79 +133,45 @@ def run_table3(
             lambda d: city_params(profile.city, d, bbox_scale=profile.bbox_scale),
             seed=profile.seed,
         )
-        if spark is not None:
-            data_df = trajectories_df(spark, data).cache()
-            data_df.count()
-            qpts = explode_points(trajectories_df(spark, queries)).withColumnRenamed(
-                "traj_id", "query_id"
-            )
-            dpts = explode_points(data_df)
-            parallelism = spark.sparkContext.defaultParallelism
-        else:
-            parallelism = 1
-        for distance in distances:
-            params = city_params(
-                profile.city, distance, bbox_scale=profile.bbox_scale
-            )
-            # --- shared pruning phase (GBP → KPF) ---
-            if spark is not None:
-                got = gbp_candidates_df(
-                    spark, qpts, dpts, profile.gbp_eps, profile.gbp_mu
-                ).collect()
-                gbp_pairs = {(int(r.query_id), int(r.traj_id)) for r in got}
-            else:
-                gbp_pairs = gbp_candidates_local(
-                    queries, data, profile.gbp_eps, profile.gbp_mu
+        backend = _backend(spark, queries, data)
+        try:
+            for distance in distances:
+                params = city_params(
+                    profile.city, distance, bbox_scale=profile.bbox_scale
                 )
-            survivors = _kpf_survivors(
-                queries, data, gbp_pairs, distance, params, profile.kpf_r
-            )
-            if spark is not None:
-                pairs_df = spark.createDataFrame(
-                    sorted(survivors), "query_id long, traj_id long"
+                # --- shared pruning phase (GBP → KPF) ---
+                survivors = kpf_survivors(
+                    queries, data, backend.gbp(profile.gbp_eps, profile.gbp_mu),
+                    distance, params, profile.kpf_r,
                 )
-            # --- timed search phase, per algorithm ---
-            for algorithm in algorithms:
-                if not supports(algorithm, distance):
-                    continue
-                policy = (
-                    policies[(distance, algorithm == "RLS-Skip")]
-                    if algorithm in ("RLS", "RLS-Skip")
-                    else None
-                )
-                projected = _estimate_cell_seconds(
-                    algorithm, distance, queries, data, survivors, params,
-                    policy, parallelism,
-                )
-                if projected > overtime_s:
-                    secs = float("inf")
-                else:
-                    t0 = time.perf_counter()
-                    if spark is not None:
-                        pair_df = pairwise_search_df(
-                            spark, queries, data_df, algorithm, distance,
-                            pairs_df=pairs_df, policy=policy, **params,
-                        )
-                        topk_df(pair_df, 1).collect()
-                    else:
-                        res = pairwise_results(
-                            algorithm, distance, queries, data,
-                            pairs=survivors, policy=policy, **params,
-                        )
-                        topk(res, 1)
-                    secs = time.perf_counter() - t0
-                rows.append(
-                    dict(
-                        dataset=dataset_label(pname),
-                        algorithm=algorithm,
-                        distance=distance,
-                        seconds=secs,
-                        pruned_pairs=n_pairs_total - len(survivors),
-                        searched_pairs=len(survivors),
+                prepared = backend.prepare(survivors)
+                # --- timed search phase, per algorithm ---
+                for algorithm in algorithms:
+                    if not supports(algorithm, distance):
+                        continue
+                    policy = policies.get((distance, algorithm))
+                    projected = _estimate_cell_seconds(
+                        algorithm, distance, queries, data, survivors, params,
+                        policy, backend.parallelism,
                     )
-                )
-        if spark is not None:
-            data_df.unpersist()
+                    if projected > overtime_s:
+                        secs = float("inf")
+                    else:
+                        t0 = time.perf_counter()
+                        backend.top1(algorithm, distance, prepared, policy=policy, **params)
+                        secs = time.perf_counter() - t0
+                    rows.append(
+                        dict(
+                            dataset=dataset_label(pname),
+                            algorithm=algorithm,
+                            distance=distance,
+                            seconds=secs,
+                            pruned_pairs=n_pairs_total - len(survivors),
+                            searched_pairs=len(survivors),
+                        )
+                    )
+        finally:
+            backend.close()
     return pd.DataFrame(rows)
 
 

@@ -2,54 +2,44 @@
 
 The paper's Table 4 is a static complexity/applicability summary, not an
 experiment. We emit it programmatically from the same metadata the search
-API enforces (``supports``), so the table and the code cannot drift apart.
+API uses (``supports``, ``EXACT_ALGORITHMS``), so the table and the code
+cannot drift apart.
 """
 from __future__ import annotations
 
 import pandas as pd
 
-from repro.search.api import supports
+from repro.search.api import EXACT_ALGORITHMS, supports
 
 _DISTANCES = ("DTW", "ERP", "EDR", "FD", "NetERP", "NetEDR", "SURS", "LCSS", "LCRS")
 _ORDER_SENSITIVE = {"LCSS", "LCRS"}
 
-#: accuracy and complexity per algorithm (paper Table 4).
+#: API name and complexity per algorithm (paper Table 4).
 _META = {
-    "CMA (Ours)": ("exact", "O(mn)"),
-    "ExactS [26]": ("exact", "O(mn^2)"),
-    "Spring [19]": ("exact", "O(mn)"),
-    "Greedy Backtracking (GB) [8]": ("exact", "O(mn)"),
-    "POS [26]": ("approx.", "O(mn)"),
-    "PSS [26]": ("approx.", "O(mn)"),
-    "RLS [26]": ("approx.", "O(mn)"),
-    "RLS-Skip [26]": ("approx.", "O(mn)"),
-}
-
-_API_NAME = {
-    "CMA (Ours)": "CMA",
-    "ExactS [26]": "ExactS",
-    "Spring [19]": "Spring",
-    "Greedy Backtracking (GB) [8]": "GB",
-    "POS [26]": "POS",
-    "PSS [26]": "PSS",
-    "RLS [26]": "RLS",
-    "RLS-Skip [26]": "RLS-Skip",
+    "CMA (Ours)": ("CMA", "O(mn)"),
+    "ExactS [26]": ("ExactS", "O(mn^2)"),
+    "Spring [19]": ("Spring", "O(mn)"),
+    "Greedy Backtracking (GB) [8]": ("GB", "O(mn)"),
+    "POS [26]": ("POS", "O(mn)"),
+    "PSS [26]": ("PSS", "O(mn)"),
+    "RLS [26]": ("RLS", "O(mn)"),
+    "RLS-Skip [26]": ("RLS-Skip", "O(mn)"),
 }
 
 
 def run_table4() -> pd.DataFrame:
     """Rows: algorithm × (accuracy, one column per distance function)."""
     rows = []
-    for label, (accuracy, complexity) in _META.items():
-        api = _API_NAME[label]
-        row = {"Algorithms": label, "Accuracy": accuracy}
+    for label, (api, complexity) in _META.items():
+        exact = api in EXACT_ALGORITHMS
+        row = {"Algorithms": label, "Accuracy": "exact" if exact else "approx."}
         for dist in _DISTANCES:
             if dist in _ORDER_SENSITIVE:
                 # Only the approximate scanners handle order-sensitive fns;
                 # CMA / Spring / GB do not (paper §5.3), ExactS does.
-                ok = accuracy == "approx." or api == "ExactS"
+                ok = not exact or api == "ExactS"
             else:
-                ok = supports(api, dist if dist in ("DTW", "FD") else dist)
+                ok = supports(api, dist)
             row[dist] = complexity if ok else "-"
         rows.append(row)
     return pd.DataFrame(rows)

@@ -1,12 +1,12 @@
-"""Pruning substrates: GBP, KPF (paper Appendix B) and an OSF-like
-comparison pruner (Appendix C; see DESIGN.md §4 for the substitution).
+"""Pruning substrates: GBP and KPF (paper Appendix B).
 
 GBP is a pure Catalyst dataflow with a numpy twin used by the sequential
 pipeline and the DuckDB oracle tests: the small query-cell table is
 broadcast as the grid inverted index, so the data points are joined to it
 where they lie and only the per-pair ``close`` counts are shuffled. KPF is
 computed on the driver with numpy: per-pair lower-bound estimates
-(Theorem B.1) applied in the paper's sequential best-so-far loop.
+(Theorem B.1) applied by ``kpf_survivors``, a two-phase form of the
+paper's sequential best-so-far loop that both Table 3 backends share.
 """
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.core.costs import euclid_matrix
+from repro.search.api import search_pair
 
 # --------------------------------------------------------------------- GBP
 
@@ -109,11 +110,8 @@ def gbp_candidates_df(
 
 
 def key_point_indices(m: int, r: float) -> np.ndarray:
-    """Uniformly sampled key-point indices at rate ``r`` (App. B).
-
-    Stride-based (every ``round(1/r)``-th point) so the numpy path and the
-    Spark dataflow (``seq % stride == 0``) select identical key points.
-    """
+    """Uniformly sampled key-point indices at rate ``r`` (App. B): every
+    ``round(1/r)``-th point, starting at the first."""
     stride = max(1, int(round(1.0 / r)))
     return np.arange(0, m, stride)
 
@@ -148,53 +146,30 @@ def kpf_bound(
     return float(per_point.sum() * len(q) / len(idx))
 
 
-def kpf_sequential_filter(
-    bounded_pairs: list[tuple[float, int, int]],
-    search_fn,
-) -> tuple[dict[int, tuple[float, int, int, int]], int]:
-    """The paper's Algorithm 3 inner loop, per query.
-
-    ``bounded_pairs``: (bound, query_id, traj_id) — processed in ascending
-    bound order; a pair is searched only if its bound beats the query's
-    current best. Returns (best per query, #searches actually run).
-    """
-    best: dict[int, tuple[float, int, int, int]] = {}
-    searched = 0
-    for bound, qid, tid in sorted(bounded_pairs):
-        cur = best.get(qid)
-        if cur is not None and bound >= cur[0]:
-            continue
-        searched += 1
-        dist, s, e = search_fn(qid, tid)
-        if cur is None or dist < cur[0]:
-            best[qid] = (dist, tid, s, e)
-    return best, searched
-
-
-# --------------------------------------------------------------- OSF-like
-
-
-def osf_bound(
-    q: np.ndarray,
-    d: np.ndarray,
+def kpf_survivors(
+    queries: list[np.ndarray],
+    data: list[np.ndarray],
+    pairs: set[tuple[int, int]],
     distance: str,
-    *,
-    eps: float = 0.005,
-    ref: np.ndarray | None = None,
-) -> float:
-    """Bounding-envelope lower bound standing in for OSF (DESIGN.md §4):
-    each query point pays at least its distance to τd's bounding box
-    (capped by the deletion cost where the distance function has one)."""
-    lo, hi = d.min(axis=0), d.max(axis=0)
-    gap = np.maximum(np.maximum(lo - q, q - hi), 0.0)
-    per_point = np.linalg.norm(gap, axis=1)
-    if distance == "EDR":
-        # sub ∈ {0,1}: only points provably farther than ε from every data
-        # point (bbox gap ≥ ε) must pay; del would also cost 1.
-        per_point = (per_point >= eps).astype(np.float64)
-    elif distance == "ERP":
-        ref = np.zeros(q.shape[1]) if ref is None else np.asarray(ref)
-        per_point = np.minimum(per_point, np.linalg.norm(q - ref, axis=1))
-    if distance == "FD":
-        return float(per_point.max())
-    return float(per_point.sum())
+    params: dict,
+    r: float,
+) -> set[tuple[int, int]]:
+    """The (query_id, traj_id) pairs KPF keeps for the search.
+
+    A two-phase form of the paper's Algorithm 3 loop: bound every pair,
+    seed each query's best-so-far with a CMA probe of its minimum-bound
+    pair, and keep the pairs whose bound does not exceed it. ``params``
+    are the distance parameters (``eps``, ``ref``) the search uses.
+    """
+    bounds = {
+        (qid, tid): kpf_bound(
+            queries[qid], data[tid], distance, r=r, eps=params["eps"],
+            ref=params.get("ref"),
+        )
+        for qid, tid in pairs
+    }
+    best: dict[int, float] = {}
+    for qid in {q for q, _ in pairs}:
+        _, probe_tid = min((b, t) for (q, t), b in bounds.items() if q == qid)
+        best[qid] = search_pair("CMA", distance, queries[qid], data[probe_tid], **params)[0]
+    return {(qid, tid) for (qid, tid), b in bounds.items() if b <= best[qid] + 1e-12}

@@ -1,5 +1,5 @@
-"""Shared test utilities: tiny trajectory factories and an O(mn³)
-brute-force reference.
+"""Shared test utilities: tiny trajectory factories, an O(mn³)
+brute-force reference and the OSF-like envelope bound KPF is compared with.
 
 The reference is *independent* of ``src/``: it scores every window with
 the textbook memoised recursions below (Eq. 2, Eq. 3 and discrete Fréchet
@@ -123,3 +123,30 @@ def random_symbol_traj(rng: np.random.Generator, n: int, alphabet: int = 4) -> n
 def symbols(s: str) -> np.ndarray:
     """Paper-style letter trajectory → 1-D points ('a' → 0.0, 'b' → 1.0 …)."""
     return np.array([[float(ord(c) - ord("a"))] for c in s])
+
+
+def osf_bound(
+    q: np.ndarray,
+    d: np.ndarray,
+    distance: str,
+    *,
+    eps: float = 0.005,
+    ref: np.ndarray | None = None,
+) -> float:
+    """Bounding-envelope lower bound standing in for the OSF comparison
+    pruner (DESIGN.md §4): each query point pays at least its distance to
+    τd's bounding box (capped by the deletion cost where the distance
+    function has one). The App. C tests check that KPF is the tighter one."""
+    lo, hi = d.min(axis=0), d.max(axis=0)
+    gap = np.maximum(np.maximum(lo - q, q - hi), 0.0)
+    per_point = np.linalg.norm(gap, axis=1)
+    if distance == "EDR":
+        # sub ∈ {0,1}: only points provably farther than ε from every data
+        # point (bbox gap ≥ ε) must pay; del would also cost 1.
+        per_point = (per_point >= eps).astype(np.float64)
+    elif distance == "ERP":
+        ref = np.zeros(q.shape[1]) if ref is None else np.asarray(ref)
+        per_point = np.minimum(per_point, np.linalg.norm(q - ref, axis=1))
+    if distance == "FD":
+        return float(per_point.max())
+    return float(per_point.sum())

@@ -134,23 +134,25 @@ def test_incremental_dp_prices_unmatched_segments():
 @pytest.mark.parametrize("kind", ["wed", "dtw", "fd"])
 @pytest.mark.parametrize("seed", range(6))
 def test_best_window_in_suffix_signal(kind, seed):
-    """bw[0] is the global optimum; bw is non-increasing in hindsight order."""
-    from repro.baselines.pos_pss import best_window_in_suffix
-
+    """The best window inside each suffix τd[t:] is CMA over the suffix's
+    cost slice (a strided view): bw[0] is the global optimum, bw is
+    non-increasing in t, and each bw[t] is the best full-DP distance of a
+    window inside the suffix, found where CMA says."""
     q, d = _pair(seed + 950, max_m=6, max_n=10)
     costs = _costs(kind, q, d)
-    bw = best_window_in_suffix(kind, costs)
+    n = len(d)
+    found = [cma(kind, slice_costs(costs, t, n)) for t in range(n)]
+    bw = np.array([f[0] for f in found])
     assert bw[0] == pytest.approx(cma(kind, costs)[0])
     assert np.all(np.diff(bw) >= -1e-12)
-    # Each bw[t] is achieved by some window inside the suffix.
-    n = len(d)
-    for t in range(n):
+    for t, (dist, s, e) in enumerate(found):
         vals = [
-            full_distance(kind, slice_costs(costs, s, e + 1))
-            for s in range(t, n)
-            for e in range(s, n)
+            full_distance(kind, slice_costs(costs, a, b + 1))
+            for a in range(t, n)
+            for b in range(a, n)
         ]
-        assert bw[t] == pytest.approx(min(vals))
+        assert dist == pytest.approx(min(vals))
+        assert full_distance(kind, slice_costs(costs, t + s, t + e + 1)) == pytest.approx(dist)
 
 
 @pytest.mark.parametrize("kind", ["wed", "dtw", "fd"])

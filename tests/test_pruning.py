@@ -1,5 +1,6 @@
 """Pruning substrates: GBP (Spark ≡ numpy ≡ DuckDB SQL), KPF bounds
-(Theorem B.1: never above the true optimum), OSF-like envelope bound."""
+(Theorem B.1: never above the true optimum), the KPF survivor filter, and
+KPF against the OSF-like envelope bound (App. C)."""
 from __future__ import annotations
 
 import numpy as np
@@ -8,8 +9,9 @@ import pytest
 
 from repro.core import costs as C
 from repro.core.cma import cma
+from repro.eval.table2 import city_params
 from repro.oracle import assert_equivalent
-from repro.search.api import build_pair_costs, kernel_kind
+from repro.search.api import build_pair_costs, kernel_kind, search_pair
 from repro.search.pruning import (
     gbp_candidates_df,
     gbp_candidates_local,
@@ -17,10 +19,10 @@ from repro.search.pruning import (
     grid_cells,
     key_point_indices,
     kpf_bound,
-    kpf_sequential_filter,
-    osf_bound,
+    kpf_survivors,
 )
 from repro.synth_data import explode_points, make_queries, taxi_trajectories, trajectories_df
+from tests.helpers import osf_bound
 
 EPS = 0.8
 
@@ -122,20 +124,19 @@ def test_kpf_bound_below_true_optimum_at_full_rate(distance, seed):
     assert bound <= opt + 1e-9
 
 
-def test_kpf_sequential_filter_prunes_and_keeps_optimum():
-    # Three candidates; exact searches only run while bounds beat the best.
-    dists = {(0, 0): 5.0, (0, 1): 1.0, (0, 2): 9.0}
-    bounded = [(0.5, 0, 1), (2.0, 0, 0), (8.0, 0, 2)]
-    calls = []
-
-    def search(qid, tid):
-        calls.append((qid, tid))
-        return dists[(qid, tid)], 0, 0
-
-    best, searched = kpf_sequential_filter(bounded, search)
-    assert best[0][0] == 1.0 and best[0][1] == 1
-    assert searched == 1  # bounds 2.0 and 8.0 both exceed best = 1.0
-    assert calls == [(0, 1)]
+@pytest.mark.parametrize("distance", ["DTW", "ERP", "EDR", "FD"])
+def test_kpf_survivors_keep_optimum_at_full_rate(sets, distance):
+    """At r = 1 every bound is a true lower bound (Theorem B.1), so each
+    query's optimal trajectory survives the filter."""
+    queries, data = sets
+    params = city_params("porto", distance)
+    pairs = {(qid, tid) for qid in range(len(queries)) for tid in range(len(data))}
+    kept = kpf_survivors(queries, data, pairs, distance, params, r=1.0)
+    for qid, q in enumerate(queries):
+        dists = [search_pair("CMA", distance, q, d, **params)[0] for d in data]
+        assert (qid, int(np.argmin(dists))) in kept
+    if distance == "DTW":
+        assert len(kept) < len(pairs)
 
 
 # --------------------------------------------------------------- OSF-like

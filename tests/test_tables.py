@@ -79,6 +79,20 @@ def test_table3_overtime_marker():
     assert "overtime" in format_table3(df)
 
 
+def test_table3_spark_matches_driver_funnel(spark):
+    """Both backends prune and search the same pairs in every cell."""
+    kw = dict(
+        profile_names=("porto-test",),
+        distances=("DTW", "EDR", "ERP", "FD"),
+        algorithms=("CMA", "Spring", "GB"),
+    )
+    cols = ["dataset", "algorithm", "distance", "pruned_pairs", "searched_pairs"]
+    spark_rows = run_table3(spark, **kw)[cols]
+    driver_rows = run_table3(None, **kw)[cols]
+    assert len(spark_rows) == 6
+    pd.testing.assert_frame_equal(spark_rows, driver_rows)
+
+
 def test_table4_static_summary():
     df = run_table4()
     assert len(df) == 8
