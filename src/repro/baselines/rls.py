@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.pos_pss import IncrementalDP
+from repro.baselines.pos_pss import segment_distances
 from repro.core.cma import cma
 from repro.core.costs import WedCosts
 
@@ -56,14 +56,14 @@ class RLSPolicy:
         alpha: float = 0.3,
         gamma: float = 0.95,
     ) -> Result:
-        dp = IncrementalDP(kind, costs)
-        n = dp.n
+        n = costs.shape[1]
+        dists = segment_distances(kind, costs, 0)
         best: Result = (np.inf, 0, 0)
         s = 0
         skip_next = False
         prev_sa: tuple[int, int] | None = None
         for t in range(n):
-            cur = dp.append()
+            cur = next(dists)
             reward = 0.0
             if cur < best[0]:
                 reward = 1.0
@@ -85,7 +85,7 @@ class RLSPolicy:
             prev_sa = (state, action)
             if action == 1 and t + 1 < n:  # split
                 s = t + 1
-                dp.reset(s)
+                dists = segment_distances(kind, costs, s)
             elif action == 2:  # skip next decision (RLS-Skip only)
                 skip_next = True
         if learn and prev_sa is not None:

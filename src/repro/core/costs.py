@@ -10,6 +10,10 @@ the distance function:
 
 The WED family (paper §5.3) covers ERP, EDR and — with road-network
 distances — NetERP, NetEDR, SURS. DTW and discrete Fréchet use SUB only.
+
+Both kinds share one window protocol: ``costs.shape``, ``costs[rows, cols]``
+(e.g. ``costs[:, s:e]`` or the reversed pair ``costs[::-1, ::-1]``) and
+``costs.T`` (query and data swapped) act on :class:`WedCosts` as on SUB.
 """
 from __future__ import annotations
 
@@ -32,6 +36,20 @@ class WedCosts:
     def __post_init__(self) -> None:
         m, n = self.sub.shape
         assert self.delete.shape == (m,) and self.insert.shape == (n,)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.sub.shape
+
+    @property
+    def T(self) -> WedCosts:
+        """The pair with query and data swapped: deletions become insertions."""
+        return WedCosts(self.sub.T, self.insert, self.delete)
+
+    def __getitem__(self, key: tuple[slice, slice]) -> WedCosts:
+        """The costs of the window ``τq[rows]`` × ``τd[cols]``, sliced as SUB is."""
+        rows, cols = key
+        return WedCosts(self.sub[rows, cols], self.delete[rows], self.insert[cols])
 
 
 def euclid_matrix(q: np.ndarray, d: np.ndarray) -> np.ndarray:

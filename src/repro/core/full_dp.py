@@ -1,13 +1,14 @@
 """Full-trajectory distance DPs (paper Eq. 2, Eq. 3, and discrete Fréchet).
 
-These compute Θ(τq, τd) for *whole* trajectories — the per-start inner DP
-of ExactS, the suffix distances of POS/PSS and, on the transposed pair, the
-incremental DP. The row recurrences are not written here: they are the
-shared row steps of :mod:`repro.core.kernels`, which CMA runs too. The
-classical DP differs from CMA only in the boundary row it starts from, the
-*anchored* one: the alignment must begin at τd[0]. For DTW that is the
-running sum of ``SUB[0]``, for FD its running max; for the WED family every
-window start j pays for inserting ``τd[:j]`` first.
+These compute Θ(τq, τd) for *whole* trajectories, on whatever cost window
+the caller passes: the per-start inner DP of ExactS, and the suffix (on the
+reversed pair) and segment (on the transposed pair) distances of POS/PSS.
+The row recurrences are not written here: they are the shared row steps of
+:mod:`repro.core.kernels`, which CMA runs too. The classical DP differs from
+CMA only in the boundary row it starts from, the *anchored* one: the
+alignment must begin at τd[0]. For DTW that is the running sum of
+``SUB[0]``, for FD its running max; for the WED family every window start j
+pays for inserting ``τd[:j]`` first.
 """
 from __future__ import annotations
 
@@ -55,15 +56,3 @@ def prefix_distances(kind: str, costs: WedCosts | np.ndarray):
     for (C, _), dele in zip(rows, costs.delete.tolist()):
         deleted += dele  # closed as in full_lastrow, at the last prefix only
         yield float(ins_pre[-1] + min((C - ins_pre[1:]).min(), deleted))
-
-
-def full_distance(kind: str, costs: WedCosts | np.ndarray) -> float:
-    """Θ(τq, τd) for kernel kind ``'wed'`` | ``'dtw'`` | ``'fd'``."""
-    return float(full_lastrow(kind, costs)[-1])
-
-
-def slice_costs(costs: WedCosts | np.ndarray, start: int, stop: int) -> WedCosts | np.ndarray:
-    """Cost arrays restricted to the data window ``τd[start:stop]`` (0-idx, exclusive)."""
-    if isinstance(costs, WedCosts):
-        return WedCosts(costs.sub[:, start:stop], costs.delete, costs.insert[start:stop])
-    return np.asarray(costs)[:, start:stop]

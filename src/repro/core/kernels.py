@@ -10,9 +10,10 @@ family's row step, written here once:
 
 The callers differ only in the boundary row they start from (CMA's free
 start in :mod:`repro.core.cma`, the classical anchored start in
-:mod:`repro.core.full_dp`) and in whether they pass ``starts``, the window
-start of each cell of the previous row, to have it carried along the
-optimal path. Only CMA tracks starts; the other callers pay nothing for it.
+:mod:`repro.core.full_dp`, SPRING's star row in :mod:`repro.baselines.spring`)
+and in whether they pass ``starts``, the window start of each cell of the
+previous row, to have it carried along the optimal path. Only CMA and SPRING
+track starts; the full DP and its callers pay nothing for it.
 
 The ``min_{k<j}`` terms of the WED and DTW rows become *running minima*
 after subtracting prefix sums, which numpy computes in O(n) per row — the

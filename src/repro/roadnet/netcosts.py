@@ -1,7 +1,7 @@
 """Road-network cost models: NetERP, NetEDR, SURS (paper Appendix D).
 
 All three are WED special cases (paper §5.3 / App. D), so they plug into
-``cma_wed`` / ``full_distance`` unchanged — only the cost arrays differ:
+``cma_wed`` and the full DP unchanged — only the cost arrays differ:
 
 - **NetERP**: like ERP but with network shortest-path distances; deleting /
   inserting a point costs its network distance to a reference node.

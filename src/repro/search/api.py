@@ -21,7 +21,6 @@ from repro.core.cma import cma
 
 Result = tuple[float, int, int]
 
-ALGORITHMS = ("CMA", "ExactS", "Spring", "GB", "POS", "PSS", "RLS", "RLS-Skip")
 EXACT_ALGORITHMS = ("CMA", "ExactS", "Spring", "GB")
 
 

@@ -4,7 +4,8 @@ brute-force reference and the OSF-like envelope bound KPF is compared with.
 The reference is *independent* of ``src/``: it scores every window with
 the textbook memoised recursions below (Eq. 2, Eq. 3 and discrete Fréchet
 cell by cell), not with the shared row steps that CMA, the full-distance DP
-and the incremental DP all run.
+and the segment distances all run. :func:`full_distance` is the exception:
+it is the package's own full DP, for scoring many windows quickly.
 """
 from __future__ import annotations
 
@@ -12,6 +13,8 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+
+from repro.core.full_dp import full_lastrow
 
 #: (m, n) shapes that stress the DP boundary rows: single points and n < m.
 EDGE_SHAPES = [
@@ -78,20 +81,21 @@ def recursive_distance(kind: str, costs) -> float:
     return _dtw_recursive(SUB) if kind == "dtw" else _fd_recursive(SUB)
 
 
-def _window(costs, s: int, e: int):
-    """Cost arrays of the data window ``τd[s:e+1]``."""
-    if hasattr(costs, "sub"):
-        return type(costs)(costs.sub[:, s : e + 1], costs.delete, costs.insert[s : e + 1])
-    return np.asarray(costs)[:, s : e + 1]
+def full_distance(kind: str, costs) -> float:
+    """Θ(τq, τd) by the package's full DP (the last cell of
+    :func:`repro.core.full_dp.full_lastrow`), not by the independent
+    recursion above: use it to check a window ``src/`` returns, or the DP
+    against the recursion."""
+    return float(full_lastrow(kind, costs)[-1])
 
 
 def brute_force_best(kind: str, costs) -> tuple[float, int, int]:
     """Enumerate every subtrajectory, recurse on each — the ground truth."""
-    n = (costs.sub if hasattr(costs, "sub") else np.asarray(costs)).shape[1]
+    n = costs.shape[1]
     best, bs, be = np.inf, 0, 0
     for s in range(n):
         for e in range(s, n):
-            d = recursive_distance(kind, _window(costs, s, e))
+            d = recursive_distance(kind, costs[:, s : e + 1])
             if d < best:
                 best, bs, be = d, s, e
     return best, bs, be

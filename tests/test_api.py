@@ -4,9 +4,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.eval.table2 import DEFAULT_ALGORITHMS
 from repro.roadnet.graph import RoadNetwork
 from repro.search.api import (
-    ALGORITHMS,
     EXACT_ALGORITHMS,
     build_pair_costs,
     kernel_kind,
@@ -99,7 +99,7 @@ def test_pairwise_results_respects_pairs_filter():
 
 
 def test_algorithm_registry_complete():
-    assert set(EXACT_ALGORITHMS) <= set(ALGORITHMS)
-    assert set(ALGORITHMS) == {
+    assert set(EXACT_ALGORITHMS) <= set(DEFAULT_ALGORITHMS)
+    assert set(DEFAULT_ALGORITHMS) == {
         "CMA", "ExactS", "Spring", "GB", "POS", "PSS", "RLS", "RLS-Skip"
     }

@@ -7,13 +7,12 @@ import pytest
 
 from repro.baselines.exacts import exacts, subtraj_distance_matrix
 from repro.baselines.gb import gb_fd
-from repro.baselines.pos_pss import IncrementalDP, pos, pss, suffix_distances
+from repro.baselines.pos_pss import pos, pss, segment_distances, suffix_distances
 from repro.baselines.rls import RLSPolicy
 from repro.baselines.spring import spring_dtw
 from repro.core import costs as C
 from repro.core.cma import cma
-from repro.core.full_dp import full_distance, slice_costs
-from tests.helpers import EDGE_SHAPES, random_pair, random_traj
+from tests.helpers import EDGE_SHAPES, full_distance, random_pair, random_traj
 
 
 def _pair(case, offset=0, max_m=9, max_n=16):
@@ -41,20 +40,25 @@ _WED_BUILDERS = [
 
 
 # ---------------------------------------------------------------- ExactS ---
-@pytest.mark.parametrize("seed", range(12))
+def _assert_exacts_optimal(kind, costs):
+    """ExactS finds CMA's optimum, in a window that scores it."""
+    dist, s, e = exacts(kind, costs)
+    assert dist == pytest.approx(cma(kind, costs)[0])
+    assert full_distance(kind, costs[:, s : e + 1]) == pytest.approx(dist)
+
+
+@pytest.mark.parametrize("case", [*range(12), *EDGE_SHAPES])
 @pytest.mark.parametrize("builder", range(3))
-def test_exacts_equals_cma_wed_family(seed, builder):
-    q, d = _pair(seed * 7 + builder)
-    costs = _WED_BUILDERS[builder](q, d)
-    assert exacts("wed", costs)[0] == pytest.approx(cma("wed", costs)[0])
+def test_exacts_equals_cma_wed_family(case, builder):
+    q, d = _pair(case * 7 if isinstance(case, int) else case, builder)
+    _assert_exacts_optimal("wed", _WED_BUILDERS[builder](q, d))
 
 
-@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("case", [*range(12), *EDGE_SHAPES])
 @pytest.mark.parametrize("kind,build", [("dtw", C.dtw_costs), ("fd", C.fd_costs)])
-def test_exacts_equals_cma_sub_only(seed, kind, build):
-    q, d = _pair(seed + 400)
-    costs = build(q, d)
-    assert exacts(kind, costs)[0] == pytest.approx(cma(kind, costs)[0])
+def test_exacts_equals_cma_sub_only(case, kind, build):
+    q, d = _pair(case, 400)
+    _assert_exacts_optimal(kind, build(q, d))
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -66,21 +70,52 @@ def test_subtraj_matrix_consistent_with_full_dp(seed):
     for s in range(n):
         for e in range(s, n):
             assert D[s, e] == pytest.approx(
-                full_distance("wed", slice_costs(costs, s, e + 1))
+                full_distance("wed", costs[:, s : e + 1])
             )
     assert np.all(np.isinf(D[np.tril_indices(n, -1)]))
 
 
 # ---------------------------------------------------------------- Spring ---
-@pytest.mark.parametrize("seed", range(15))
-def test_spring_equals_cma_dtw(seed):
-    q, d = _pair(seed + 600)
+@pytest.mark.parametrize("case", [*range(15), *EDGE_SHAPES])
+def test_spring_equals_cma_dtw(case):
+    q, d = _pair(case, 600)
     SUB = C.dtw_costs(q, d)
     best, s, e, _ = spring_dtw(SUB)
-    c_best, c_s, c_e = cma("dtw", SUB)
-    assert best == pytest.approx(c_best)
+    assert best == pytest.approx(cma("dtw", SUB)[0])
     # The found window must itself achieve the optimum.
     assert full_distance("dtw", SUB[:, s : e + 1]) == pytest.approx(best)
+
+
+def _assert_valid_reports(SUB, reports, epsilon):
+    """Reports are under ε, pairwise disjoint, and each states the cost of a
+    real alignment of its window (at least the window's DTW)."""
+    assert all(dist <= epsilon for dist, _, _ in reports)
+    spans = sorted((s, e) for _, s, e in reports)
+    assert all(prev_e < s for (_, prev_e), (s, _) in zip(spans, spans[1:]))
+    for dist, s, e in reports:
+        assert full_distance("dtw", SUB[:, s : e + 1]) <= dist + 1e-9
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_spring_on_tie_heavy_symbol_pairs(seed):
+    """Symbol trajectories make many zero-cost cells, hence many equal-cost
+    paths and starts: the optimum, its window and the ε-reports still hold."""
+    q, d = random_pair(seed, 650, max_m=6, max_n=15, kind="symbol")
+    SUB = C.dtw_costs(q, d)
+    best, s, e, reports = spring_dtw(SUB, epsilon=1.0)
+    assert best == pytest.approx(cma("dtw", SUB)[0])
+    assert full_distance("dtw", SUB[:, s : e + 1]) == pytest.approx(best)
+    assert reports or best > 1.0
+    _assert_valid_reports(SUB, reports, 1.0)
+
+
+def test_spring_reports_pending_match_before_the_current_one():
+    """SPRING's Fig. 4 order: a column first reports the pending match once
+    no live cell can improve it, and only then considers its own match. A
+    one-point query has a match under ε = 1.5 at each of the first two
+    points; both are reported."""
+    SUB = np.array([[0.85, 1.04, 9.0]])
+    assert spring_dtw(SUB, epsilon=1.5)[3] == [(0.85, 0, 0), (1.04, 1, 1)]
 
 
 def test_spring_threshold_reports_disjoint_matches():
@@ -91,9 +126,7 @@ def test_spring_threshold_reports_disjoint_matches():
     SUB = C.dtw_costs(q, d)
     _, _, _, reports = spring_dtw(SUB, epsilon=0.5)
     assert len(reports) >= 2
-    assert all(dist <= 0.5 for dist, _, _ in reports)
-    spans = sorted((s, e) for _, s, e in reports)
-    assert all(prev_e < s for (_, prev_e), (s, _) in zip(spans, spans[1:]))
+    _assert_valid_reports(SUB, reports, 0.5)
 
 
 # -------------------------------------------------------------------- GB ---
@@ -106,7 +139,7 @@ def test_gb_equals_cma_fd(seed):
     assert full_distance("fd", SUB[:, g_s : g_e + 1]) == pytest.approx(g_best)
 
 
-# --------------------------------------------------------- IncrementalDP ---
+# ----------------------------------------------------- segment_distances ---
 @pytest.mark.parametrize("kind", ["wed", "dtw", "fd"])
 @pytest.mark.parametrize("case", [*range(6), *EDGE_SHAPES])
 def test_incremental_dp_matches_full_dp(kind, case):
@@ -114,21 +147,19 @@ def test_incremental_dp_matches_full_dp(kind, case):
     n = len(d)
     for ref_point in _refs(kind, d):
         costs = _costs(kind, q, d, ref_point)
-        dp = IncrementalDP(kind, costs)
         for s in range(n):
-            dp.reset(s)
-            for t in range(s, n):
-                got = dp.append()
-                ref = full_distance(kind, slice_costs(costs, s, t + 1))
-                assert got == pytest.approx(ref), (kind, s, t)
+            got = list(segment_distances(kind, costs, s))
+            assert len(got) == n - s
+            for t, dist in enumerate(got, start=s):
+                ref = full_distance(kind, costs[:, s : t + 1])
+                assert dist == pytest.approx(ref), (kind, s, t)
 
 
 def test_incremental_dp_prices_unmatched_segments():
     """Substitution dearer than delete + insert: nothing matches, so every
     segment costs Σ del + Σ ins."""
     costs = C.WedCosts(np.full((3, 5), 10.0), np.ones(3), np.ones(5))
-    dp = IncrementalDP("wed", costs)
-    assert [dp.append() for _ in range(5)] == [4.0, 5.0, 6.0, 7.0, 8.0]
+    assert list(segment_distances("wed", costs, 0)) == [4.0, 5.0, 6.0, 7.0, 8.0]
 
 
 @pytest.mark.parametrize("kind", ["wed", "dtw", "fd"])
@@ -141,18 +172,18 @@ def test_best_window_in_suffix_signal(kind, seed):
     q, d = _pair(seed + 950, max_m=6, max_n=10)
     costs = _costs(kind, q, d)
     n = len(d)
-    found = [cma(kind, slice_costs(costs, t, n)) for t in range(n)]
+    found = [cma(kind, costs[:, t:]) for t in range(n)]
     bw = np.array([f[0] for f in found])
     assert bw[0] == pytest.approx(cma(kind, costs)[0])
     assert np.all(np.diff(bw) >= -1e-12)
     for t, (dist, s, e) in enumerate(found):
         vals = [
-            full_distance(kind, slice_costs(costs, a, b + 1))
+            full_distance(kind, costs[:, a : b + 1])
             for a in range(t, n)
             for b in range(a, n)
         ]
         assert dist == pytest.approx(min(vals))
-        assert full_distance(kind, slice_costs(costs, t + s, t + e + 1)) == pytest.approx(dist)
+        assert full_distance(kind, costs[:, t + s : t + e + 1]) == pytest.approx(dist)
 
 
 @pytest.mark.parametrize("kind", ["wed", "dtw", "fd"])
@@ -165,7 +196,7 @@ def test_suffix_distances_match_full_dp(kind, case):
         sd = suffix_distances(kind, costs)
         for t in range(n):
             assert sd[t] == pytest.approx(
-                full_distance(kind, slice_costs(costs, t, n))
+                full_distance(kind, costs[:, t:])
             ), t
 
 
@@ -180,7 +211,7 @@ def test_approx_algorithms_valid_and_never_better_than_optimal(alg, seed, kind):
     n = len(d)
     assert 0 <= s <= e < n
     # The reported distance is the true distance of the reported window …
-    assert full_distance(kind, slice_costs(costs, s, e + 1)) == pytest.approx(dist)
+    assert full_distance(kind, costs[:, s : e + 1]) == pytest.approx(dist)
     # … and an approximation can never beat the exact optimum.
     assert dist >= cma(kind, costs)[0] - 1e-9
 

@@ -11,8 +11,14 @@ import pytest
 
 from repro.core import costs as C
 from repro.core.cma import cma, cma_dtw, cma_fd, cma_wed
-from repro.core.full_dp import full_distance, slice_costs
-from tests.helpers import EDGE_SHAPES, brute_force_best, random_pair, random_traj, symbols
+from tests.helpers import (
+    EDGE_SHAPES,
+    brute_force_best,
+    full_distance,
+    random_pair,
+    random_traj,
+    symbols,
+)
 
 
 def _pair(case, offset=0, kind="spatial"):
@@ -27,7 +33,7 @@ def _assert_cma_exact(kind, costs):
     # (no redundant prefix/suffix is ever profitable).
     n = (costs.sub if hasattr(costs, "sub") else np.asarray(costs)).shape[1]
     assert 0 <= s <= e < n
-    assert full_distance(kind, slice_costs(costs, s, e + 1)) == pytest.approx(got)
+    assert full_distance(kind, costs[:, s : e + 1]) == pytest.approx(got)
 
 
 @pytest.mark.parametrize("case", [*range(30), *EDGE_SHAPES])

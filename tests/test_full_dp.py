@@ -5,8 +5,13 @@ import numpy as np
 import pytest
 
 from repro.core import costs as C
-from repro.core.full_dp import full_distance
-from tests.helpers import random_symbol_traj, random_traj, recursive_distance, symbols
+from tests.helpers import (
+    full_distance,
+    random_symbol_traj,
+    random_traj,
+    recursive_distance,
+    symbols,
+)
 
 
 @pytest.mark.parametrize("seed", range(15))

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from repro.core.cma import cma
-from repro.core.full_dp import full_distance
 from repro.roadnet.graph import RoadNetwork
 from repro.roadnet.netcosts import build_net_costs, netedr_costs, neterp_costs, surs_costs
-from tests.helpers import brute_force_best
+from tests.helpers import brute_force_best, full_distance
 
 
 @pytest.fixture(scope="module")
@@ -128,6 +127,4 @@ def test_identical_walk_has_zero_distance_subtrajectory(net):
         dist, s, e = cma("wed", costs)
         assert dist == pytest.approx(0.0)
         # The returned window really is a zero-cost match.
-        from repro.core.full_dp import slice_costs
-
-        assert full_distance("wed", slice_costs(costs, s, e + 1)) == pytest.approx(0.0)
+        assert full_distance("wed", costs[:, s : e + 1]) == pytest.approx(0.0)
