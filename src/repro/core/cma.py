@@ -25,7 +25,8 @@ Result = tuple[float, int, int]
 
 
 def cma(distance_kind: str, costs: WedCosts | np.ndarray) -> Result:
-    """Dispatch on kernel kind: ``'wed'`` | ``'dtw'`` | ``'fd'``."""
+    """CMA for kernel kind ``'wed'`` (Eq. 7), ``'dtw'`` (Eq. 8) or ``'fd'``
+    (Eq. 9): exact, O(mn)."""
     if distance_kind == "wed":
         starts = np.arange(costs.sub.shape[1])
         rows = wed_rows(costs, prefix_sums(costs.insert), 0.0, starts)
@@ -38,19 +39,3 @@ def cma(distance_kind: str, costs: WedCosts | np.ndarray) -> Result:
         pass
     j = int(np.argmin(C))
     return float(C[j]), int(S[j]), j
-
-
-def cma_wed(costs: WedCosts) -> Result:
-    """CMA for the WED family (Eq. 7 / Definition 7), exact, O(mn)."""
-    return cma("wed", costs)
-
-
-def cma_dtw(SUB: np.ndarray) -> Result:
-    """CMA for DTW (Eq. 8), exact, O(mn)."""
-    return cma("dtw", SUB)
-
-
-def cma_fd(SUB: np.ndarray) -> Result:
-    """CMA for discrete Fréchet distance (Eq. 9), exact, O(mn); the
-    (max, min) rows are a scalar loop — same asymptotics, larger constant."""
-    return cma("fd", SUB)

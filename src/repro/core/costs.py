@@ -9,7 +9,8 @@ the distance function:
 - ``INS``: (n,) vector, ``INS[j] = ins(τd[j+1])`` (WED family only).
 
 The WED family (paper §5.3) covers ERP, EDR and — with road-network
-distances — NetERP, NetEDR, SURS. DTW and discrete Fréchet use SUB only.
+distances — NetERP, NetEDR, SURS. DTW and discrete Fréchet use SUB only
+(``euclid_matrix``). :data:`repro.search.api.DISTANCES` picks the model.
 
 Both kinds share one window protocol: ``costs.shape``, ``costs[rows, cols]``
 (e.g. ``costs[:, s:e]`` or the reversed pair ``costs[::-1, ::-1]``) and
@@ -20,9 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-#: Distance-function families: which kernel a function routes to.
-WED_FAMILY = ("WED", "EDR", "ERP", "NetERP", "NetEDR", "SURS")
 
 
 @dataclass(frozen=True)
@@ -58,16 +56,6 @@ def euclid_matrix(q: np.ndarray, d: np.ndarray) -> np.ndarray:
     d = np.asarray(d, dtype=np.float64)
     diff = q[:, None, :] - d[None, :, :]
     return np.sqrt((diff * diff).sum(axis=2))
-
-
-def dtw_costs(q: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """DTW substitution matrix: plain Euclidean point distances."""
-    return euclid_matrix(q, d)
-
-
-def fd_costs(q: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Discrete Fréchet substitution matrix: Euclidean point distances."""
-    return euclid_matrix(q, d)
 
 
 def wed_unit_costs(q: np.ndarray, d: np.ndarray) -> WedCosts:
@@ -108,30 +96,3 @@ def edr_costs(q: np.ndarray, d: np.ndarray, eps: float) -> WedCosts:
     """
     sub = (euclid_matrix(q, d) >= eps).astype(np.float64)
     return WedCosts(sub, np.ones(len(q)), np.ones(len(d)))
-
-
-def build_costs(
-    distance: str,
-    q: np.ndarray,
-    d: np.ndarray,
-    *,
-    eps: float = 0.005,
-    ref: np.ndarray | None = None,
-) -> WedCosts | np.ndarray:
-    """Build cost arrays for a spatial ``distance``: DTW, FD or WED, EDR, ERP.
-
-    Returns :class:`WedCosts` for the WED family, a bare SUB matrix for
-    DTW/FD. Road-network functions (NetERP/NetEDR/SURS) are built by
-    :mod:`repro.roadnet.netcosts` because they need a graph.
-    """
-    if distance == "DTW":
-        return dtw_costs(q, d)
-    if distance == "FD":
-        return fd_costs(q, d)
-    if distance == "WED":
-        return wed_unit_costs(q, d)
-    if distance == "EDR":
-        return edr_costs(q, d, eps)
-    if distance == "ERP":
-        return erp_costs(q, d, ref)
-    raise ValueError(f"unknown or graph-backed distance function: {distance}")

@@ -2,7 +2,8 @@
 
 Pipeline per (dataset, distance), mirroring the paper's Algorithm 3:
 
-1. **GBP** (shared): grid inverted index → surviving (query, trajectory) pairs.
+1. **GBP** (shared, once per profile — it does not depend on the distance):
+   grid inverted index → surviving (query, trajectory) pairs.
 2. **KPF** (shared): ``kpf_survivors`` drops the pairs whose lower bound
    exceeds a CMA-probed best-so-far (see DESIGN.md §5).
 3. **Search** (timed per algorithm): the per-pair kernel over the surviving
@@ -135,14 +136,14 @@ def run_table3(
         )
         backend = _backend(spark, queries, data)
         try:
+            # --- shared pruning phase: GBP once per profile, KPF per distance ---
+            gbp = backend.gbp(profile.gbp_eps, profile.gbp_mu)
             for distance in distances:
                 params = city_params(
                     profile.city, distance, bbox_scale=profile.bbox_scale
                 )
-                # --- shared pruning phase (GBP → KPF) ---
                 survivors = kpf_survivors(
-                    queries, data, backend.gbp(profile.gbp_eps, profile.gbp_mu),
-                    distance, params, profile.kpf_r,
+                    queries, data, gbp, distance, params, profile.kpf_r
                 )
                 prepared = backend.prepare(survivors)
                 # --- timed search phase, per algorithm ---

@@ -1,7 +1,8 @@
 """Road-network cost models: NetERP, NetEDR, SURS (paper Appendix D).
 
 All three are WED special cases (paper §5.3 / App. D), so they plug into
-``cma_wed`` and the full DP unchanged — only the cost arrays differ:
+``cma("wed", …)`` and the full DP unchanged — only the cost arrays differ.
+:data:`repro.search.api.DISTANCES` routes each name to its model here:
 
 - **NetERP**: like ERP but with network shortest-path distances; deleting /
   inserting a point costs its network distance to a reference node.
@@ -40,16 +41,3 @@ def surs_costs(g: RoadNetwork, q_edges: np.ndarray, d_edges: np.ndarray) -> WedC
     sub = w[q][:, None] + w[d][None, :]
     sub[q[:, None] == d[None, :]] = 0.0
     return WedCosts(sub, w[q], w[d])
-
-
-def build_net_costs(
-    distance: str, g: RoadNetwork, q: np.ndarray, d: np.ndarray, *, ref: int = 0
-) -> WedCosts:
-    """Dispatch for the graph-backed distance functions."""
-    if distance == "NetERP":
-        return neterp_costs(g, q, d, ref)
-    if distance == "NetEDR":
-        return netedr_costs(g, q, d)
-    if distance == "SURS":
-        return surs_costs(g, q, d)
-    raise ValueError(f"not a road-network distance: {distance}")

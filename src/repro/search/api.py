@@ -1,11 +1,11 @@
 """Unified per-pair search API: (algorithm, distance fn, τq, τd) → result.
 
-This is the single entry point the local and distributed search layers (and
-the table harnesses) call. It routes a distance function to its kernel kind
-(``wed`` / ``dtw`` / ``fd``), builds cost arrays, and dispatches to the
-selected algorithm. Applicability follows the paper's Table 4: Spring is
-DTW-only, GB is FD-only; everything else supports all order-insensitive
-functions.
+This is the single entry point the search layers, the table harnesses and
+KPF call. ``DISTANCES`` maps each distance function to its kernel kind
+(``wed`` / ``dtw`` / ``fd``) and cost model, ``build_pair_costs`` checks a
+pair and builds its costs, and ``search_pair`` runs the selected algorithm.
+Applicability follows the paper's Table 4: Spring is DTW-only, GB is
+FD-only; everything else supports all order-insensitive functions.
 """
 from __future__ import annotations
 
@@ -18,21 +18,32 @@ from repro.baselines.rls import RLSPolicy
 from repro.baselines.spring import spring_dtw
 from repro.core import costs as C
 from repro.core.cma import cma
+from repro.roadnet import netcosts as N
 
 Result = tuple[float, int, int]
 
 EXACT_ALGORITHMS = ("CMA", "ExactS", "Spring", "GB")
 
 
+#: Distance function → (kernel kind, cost model ``(q, d, params) → costs``),
+#: paper §5.3 and App. D; the graph-backed models read ``params["graph"]``.
+DISTANCES = {
+    "DTW": ("dtw", lambda q, d, p: C.euclid_matrix(q, d)),
+    "FD": ("fd", lambda q, d, p: C.euclid_matrix(q, d)),
+    "WED": ("wed", lambda q, d, p: C.wed_unit_costs(q, d)),
+    "EDR": ("wed", lambda q, d, p: C.edr_costs(q, d, p.get("eps", 0.005))),
+    "ERP": ("wed", lambda q, d, p: C.erp_costs(q, d, p.get("ref"))),
+    "NetERP": ("wed", lambda q, d, p: N.neterp_costs(p["graph"], q, d, p.get("ref", 0))),
+    "NetEDR": ("wed", lambda q, d, p: N.netedr_costs(p["graph"], q, d)),
+    "SURS": ("wed", lambda q, d, p: N.surs_costs(p["graph"], q, d)),
+}
+
+
 def kernel_kind(distance: str) -> str:
     """Kernel family for a distance function name."""
-    if distance in C.WED_FAMILY:
-        return "wed"
-    if distance == "DTW":
-        return "dtw"
-    if distance == "FD":
-        return "fd"
-    raise ValueError(f"unknown distance function {distance!r}")
+    if distance not in DISTANCES:
+        raise ValueError(f"unknown distance function {distance!r}")
+    return DISTANCES[distance][0]
 
 
 def supports(algorithm: str, distance: str) -> bool:
@@ -45,16 +56,15 @@ def supports(algorithm: str, distance: str) -> bool:
 
 
 def build_pair_costs(distance: str, q: np.ndarray, d: np.ndarray, **params):
-    """Cost arrays for one (τq, τd) pair. Graph-backed fns need ``graph=``."""
-    if distance in ("NetERP", "NetEDR", "SURS"):
-        from repro.roadnet.netcosts import build_net_costs
+    """Cost arrays for one (τq, τd) pair. Graph-backed fns need ``graph=``.
 
-        return build_net_costs(
-            distance, params["graph"], q, d, ref=params.get("ref", 0)
-        )
-    return C.build_costs(
-        distance, q, d, eps=params.get("eps", 0.005), ref=params.get("ref")
-    )
+    Rejects an empty trajectory or a NaN/±inf coordinate: the DPs would
+    return NaN or a wrong window for them, or fail on an empty row.
+    """
+    for name, t in (("τq", q), ("τd", d)):
+        if np.size(t) == 0 or not np.isfinite(t).all():
+            raise ValueError(f"{name} must be non-empty and finite")
+    return DISTANCES[distance][1](q, d, params)
 
 
 def search_pair(

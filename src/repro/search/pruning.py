@@ -5,8 +5,10 @@ pipeline and the DuckDB oracle tests: the small query-cell table is
 broadcast as the grid inverted index, so the data points are joined to it
 where they lie and only the per-pair ``close`` counts are shuffled. KPF is
 computed on the driver with numpy: per-pair lower-bound estimates
-(Theorem B.1) applied by ``kpf_survivors``, a two-phase form of the
-paper's sequential best-so-far loop that both Table 3 backends share.
+(Theorem B.1) that price the key points with the search's own cost model
+(``search.api.build_pair_costs``), applied by ``kpf_survivors``, a
+two-phase form of the paper's sequential best-so-far loop that both
+Table 3 backends share.
 """
 from __future__ import annotations
 
@@ -14,8 +16,7 @@ import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from repro.core.costs import euclid_matrix
-from repro.search.api import search_pair
+from repro.search.api import build_pair_costs, kernel_kind, search_pair
 
 # --------------------------------------------------------------------- GBP
 
@@ -116,32 +117,23 @@ def key_point_indices(m: int, r: float) -> np.ndarray:
     return np.arange(0, m, stride)
 
 
-def kpf_bound(
-    q: np.ndarray,
-    d: np.ndarray,
-    distance: str,
-    *,
-    r: float = 0.5,
-    eps: float = 0.005,
-    ref: np.ndarray | None = None,
-) -> float:
+def kpf_bound(q: np.ndarray, d: np.ndarray, distance: str, *, r: float, **params) -> float:
     """Estimated lower bound of ``min_j C_{m,j}`` (Theorem B.1 + Eq. 28).
 
-    Sum-type distances (WED family, DTW) scale the sampled sum by 1/r;
-    FD is a max-type distance, so the bound is the max over key points
-    (still a valid lower bound, no scaling).
+    Key points are priced by the search's own cost model (``params`` as for
+    ``build_pair_costs``): ``min(del, min_j sub)`` for the WED family, else
+    ``min_j sub``. Sum-type distances (WED family, DTW) scale the sampled
+    sum by m/|K|; FD is a max-type distance, so the bound is the max over
+    key points (still a valid lower bound, no scaling).
     """
     idx = key_point_indices(len(q), r)
-    sub = euclid_matrix(q[idx], d)
-    if distance == "EDR":
-        per_point = (sub >= eps).all(axis=1).astype(np.float64)  # min(1, min sub)
-    elif distance == "ERP":
-        ref = np.zeros(q.shape[1]) if ref is None else np.asarray(ref)
-        del_cost = np.linalg.norm(q[idx] - ref, axis=1)
-        per_point = np.minimum(del_cost, sub.min(axis=1))
-    else:  # DTW / FD / generic: every query point pays at least min_j sub
-        per_point = sub.min(axis=1)
-    if distance == "FD":
+    kind = kernel_kind(distance)
+    costs = build_pair_costs(distance, q[idx], d, **params)
+    if kind == "wed":
+        per_point = np.minimum(costs.delete, costs.sub.min(axis=1))
+    else:
+        per_point = costs.min(axis=1)
+    if kind == "fd":
         return float(per_point.max())
     return float(per_point.sum() * len(q) / len(idx))
 
@@ -159,13 +151,11 @@ def kpf_survivors(
     A two-phase form of the paper's Algorithm 3 loop: bound every pair,
     seed each query's best-so-far with a CMA probe of its minimum-bound
     pair, and keep the pairs whose bound does not exceed it. ``params``
-    are the distance parameters (``eps``, ``ref``) the search uses.
+    are the distance parameters (``eps``, ``ref``, ``graph``) the search
+    uses; the bounds and the probes both receive them.
     """
     bounds = {
-        (qid, tid): kpf_bound(
-            queries[qid], data[tid], distance, r=r, eps=params["eps"],
-            ref=params.get("ref"),
-        )
+        (qid, tid): kpf_bound(queries[qid], data[tid], distance, r=r, **params)
         for qid, tid in pairs
     }
     best: dict[int, float] = {}

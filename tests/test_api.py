@@ -4,9 +4,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.costs import WedCosts
 from repro.eval.table2 import DEFAULT_ALGORITHMS
 from repro.roadnet.graph import RoadNetwork
 from repro.search.api import (
+    DISTANCES,
     EXACT_ALGORITHMS,
     build_pair_costs,
     kernel_kind,
@@ -14,6 +16,7 @@ from repro.search.api import (
     supports,
 )
 from repro.search.local import pairwise_results, topk
+from repro.search.pruning import kpf_bound
 from tests.helpers import random_traj
 
 
@@ -24,6 +27,61 @@ def test_kernel_kind_mapping():
     assert kernel_kind("FD") == "fd"
     with pytest.raises(ValueError):
         kernel_kind("LCSS")
+
+
+def test_distance_table_kind_matches_cost_type():
+    """Each distance's kernel kind and cost model agree: the WED family
+    builds ``WedCosts``, DTW and FD a bare SUB matrix."""
+    assert set(DISTANCES) == {
+        "DTW", "FD", "WED", "EDR", "ERP", "NetERP", "NetEDR", "SURS"
+    }
+    g = RoadNetwork(5, 5)
+    rng = np.random.default_rng(5)
+    walk = g.random_walk(6, rng)
+    for distance in DISTANCES:
+        if distance == "SURS":
+            q, d = g.walk_edges(walk[:3]), g.walk_edges(walk)
+        elif distance.startswith("Net"):
+            q, d = walk[:3], walk
+        else:
+            q, d = random_traj(rng, 3), random_traj(rng, 6)
+        costs = build_pair_costs(distance, q, d, graph=g, eps=0.5)
+        kind = kernel_kind(distance)
+        if kind == "wed":
+            assert isinstance(costs, WedCosts), distance
+        else:
+            assert kind in ("dtw", "fd") and type(costs) is np.ndarray, distance
+        assert costs.shape == (len(q), len(d))
+
+
+def _invalid_pair(case):
+    rng = np.random.default_rng(11)
+    q, d = random_traj(rng, 4), random_traj(rng, 7)
+    if case == "nan":
+        d[1, 0] = np.nan
+    elif case == "inf":
+        d[1, 1] = np.inf
+    elif case == "-inf-query":
+        q[2, 0] = -np.inf
+    elif case == "empty-query":
+        q = q[:0]
+    elif case == "empty-data":
+        d = d[:0]
+    return q, d
+
+
+@pytest.mark.parametrize("distance", ["DTW", "EDR", "ERP", "FD"])
+@pytest.mark.parametrize(
+    "case", ["nan", "inf", "-inf-query", "empty-query", "empty-data"]
+)
+def test_invalid_trajectories_rejected(distance, case):
+    """Empty or non-finite trajectories are rejected where every search and
+    KPF bound builds its costs, not answered with NaN or a wrong window."""
+    q, d = _invalid_pair(case)
+    with pytest.raises(ValueError, match="must be non-empty and finite"):
+        search_pair("CMA", distance, q, d, eps=0.5)
+    with pytest.raises(ValueError, match="must be non-empty and finite"):
+        kpf_bound(q, d, distance, r=1.0, eps=0.5)
 
 
 def test_supports_matches_paper_table4():

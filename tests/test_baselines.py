@@ -23,7 +23,7 @@ def _costs(kind, q, d, ref=None):
     """ERP for the WED family (reference point ``ref``), else DTW / FD."""
     if kind == "wed":
         return C.erp_costs(q, d, ref)
-    return (C.dtw_costs if kind == "dtw" else C.fd_costs)(q, d)
+    return C.euclid_matrix(q, d)
 
 
 def _refs(kind, d):
@@ -55,10 +55,10 @@ def test_exacts_equals_cma_wed_family(case, builder):
 
 
 @pytest.mark.parametrize("case", [*range(12), *EDGE_SHAPES])
-@pytest.mark.parametrize("kind,build", [("dtw", C.dtw_costs), ("fd", C.fd_costs)])
-def test_exacts_equals_cma_sub_only(case, kind, build):
+@pytest.mark.parametrize("kind", ["dtw", "fd"], ids=["dtw-dtw_costs", "fd-fd_costs"])
+def test_exacts_equals_cma_sub_only(case, kind):
     q, d = _pair(case, 400)
-    _assert_exacts_optimal(kind, build(q, d))
+    _assert_exacts_optimal(kind, C.euclid_matrix(q, d))
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -79,7 +79,7 @@ def test_subtraj_matrix_consistent_with_full_dp(seed):
 @pytest.mark.parametrize("case", [*range(15), *EDGE_SHAPES])
 def test_spring_equals_cma_dtw(case):
     q, d = _pair(case, 600)
-    SUB = C.dtw_costs(q, d)
+    SUB = C.euclid_matrix(q, d)
     best, s, e, _ = spring_dtw(SUB)
     assert best == pytest.approx(cma("dtw", SUB)[0])
     # The found window must itself achieve the optimum.
@@ -101,7 +101,7 @@ def test_spring_on_tie_heavy_symbol_pairs(seed):
     """Symbol trajectories make many zero-cost cells, hence many equal-cost
     paths and starts: the optimum, its window and the ε-reports still hold."""
     q, d = random_pair(seed, 650, max_m=6, max_n=15, kind="symbol")
-    SUB = C.dtw_costs(q, d)
+    SUB = C.euclid_matrix(q, d)
     best, s, e, reports = spring_dtw(SUB, epsilon=1.0)
     assert best == pytest.approx(cma("dtw", SUB)[0])
     assert full_distance("dtw", SUB[:, s : e + 1]) == pytest.approx(best)
@@ -123,7 +123,7 @@ def test_spring_threshold_reports_disjoint_matches():
     rng = np.random.default_rng(3)
     q = random_traj(rng, 4)
     d = np.vstack([q, random_traj(rng, 6) + 30, q, random_traj(rng, 3) + 60])
-    SUB = C.dtw_costs(q, d)
+    SUB = C.euclid_matrix(q, d)
     _, _, _, reports = spring_dtw(SUB, epsilon=0.5)
     assert len(reports) >= 2
     _assert_valid_reports(SUB, reports, 0.5)
@@ -133,7 +133,7 @@ def test_spring_threshold_reports_disjoint_matches():
 @pytest.mark.parametrize("seed", range(15))
 def test_gb_equals_cma_fd(seed):
     q, d = _pair(seed + 700)
-    SUB = C.fd_costs(q, d)
+    SUB = C.euclid_matrix(q, d)
     g_best, g_s, g_e = gb_fd(SUB)
     assert g_best == pytest.approx(cma("fd", SUB)[0])
     assert full_distance("fd", SUB[:, g_s : g_e + 1]) == pytest.approx(g_best)
@@ -227,7 +227,7 @@ def test_pss_quality_dominates_pos_on_aggregate():
         d = np.vstack(
             [random_traj(rng, 5) + rng.normal(0, 5, 2), q + rng.normal(0, 0.3, q.shape), random_traj(rng, 5)]
         )
-        costs = C.dtw_costs(q, d)
+        costs = C.euclid_matrix(q, d)
         pos_total += pos("dtw", costs)[0]
         pss_total += pss("dtw", costs)[0]
     assert pss_total <= pos_total + 1e-9
@@ -241,10 +241,10 @@ def test_rls_policy_trains_and_returns_valid_windows(skip):
     for _ in range(6):
         q = random_traj(rng, 5)
         d = np.vstack([random_traj(rng, 4) + 20, q + rng.normal(0, 0.2, q.shape)])
-        episodes.append(("dtw", C.dtw_costs(q, d)))
+        episodes.append(("dtw", C.euclid_matrix(q, d)))
     policy = RLSPolicy(skip=skip, seed=0).train(episodes, epochs=2)
     q, d = _pair(77)
-    costs = C.dtw_costs(q, d)
+    costs = C.euclid_matrix(q, d)
     dist, s, e = policy.search("dtw", costs)
     assert 0 <= s <= e < len(d)
     assert dist >= cma("dtw", costs)[0] - 1e-9
@@ -254,6 +254,6 @@ def test_rls_policy_trains_and_returns_valid_windows(skip):
 def test_rls_search_is_deterministic_after_training():
     rng = np.random.default_rng(5)
     q, d = random_traj(rng, 5), random_traj(rng, 20)
-    costs = C.dtw_costs(q, d)
+    costs = C.euclid_matrix(q, d)
     p = RLSPolicy(seed=1).train([("dtw", costs)], epochs=1)
     assert p.search("dtw", costs) == p.search("dtw", costs)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.core import costs as C
-from repro.core.cma import cma, cma_dtw, cma_fd, cma_wed
+from repro.core.cma import cma
 from tests.helpers import (
     EDGE_SHAPES,
     brute_force_best,
@@ -63,30 +63,26 @@ def test_cma_dtw_exact(case):
     # the up / left / diagonal choice exactly.
     for kind in ("spatial", "symbol"):
         q, d = _pair(case, 3000, kind=kind)
-        _assert_cma_exact("dtw", C.dtw_costs(q, d))
+        _assert_cma_exact("dtw", C.euclid_matrix(q, d))
 
 
 @pytest.mark.parametrize("case", [*range(30), *EDGE_SHAPES])
 def test_cma_fd_exact(case):
     for kind in ("spatial", "symbol"):  # symbol: ties, as for DTW
         q, d = _pair(case, 4000, kind=kind)
-        _assert_cma_exact("fd", C.fd_costs(q, d))
+        _assert_cma_exact("fd", C.euclid_matrix(q, d))
 
 
 @pytest.mark.parametrize(
-    "kernel,builder",
-    [
-        (cma_wed, lambda q, d: C.wed_unit_costs(q, d)),
-        (cma_dtw, lambda q, d: C.dtw_costs(q, d)),
-        (cma_fd, lambda q, d: C.fd_costs(q, d)),
-    ],
+    "kind,builder",
+    [("wed", C.wed_unit_costs), ("dtw", C.euclid_matrix), ("fd", C.euclid_matrix)],
 )
-def test_embedded_query_found_exactly(kernel, builder):
+def test_embedded_query_found_exactly(kind, builder):
     """Plant τq verbatim inside τd: the optimum is that window at cost 0."""
     rng = np.random.default_rng(99)
     q = random_traj(rng, 6)
     d = np.vstack([random_traj(rng, 5) + 50, q, random_traj(rng, 4) - 50])
-    cost, s, e = kernel(builder(q, d))
+    cost, s, e = cma(kind, builder(q, d))
     assert cost == pytest.approx(0.0)
     assert (s, e) == (5, 10)
 
@@ -95,7 +91,7 @@ def test_cma_wed_single_point_query():
     """m = 1: best subtrajectory is the single closest data point."""
     q = symbols("c")
     d = symbols("abcda")
-    cost, s, e = cma_wed(C.wed_unit_costs(q, d))
+    cost, s, e = cma("wed", C.wed_unit_costs(q, d))
     assert cost == 0.0 and s == e == 2
 
 
@@ -103,7 +99,7 @@ def test_cma_wed_single_point_data():
     """n = 1: everything must convert into τd[1]."""
     q = symbols("ab")
     d = symbols("a")
-    cost, s, e = cma_wed(C.wed_unit_costs(q, d))
+    cost, s, e = cma("wed", C.wed_unit_costs(q, d))
     # sub(a,a)=0 then delete b → total 1
     assert cost == pytest.approx(1.0) and (s, e) == (0, 0)
 
@@ -119,7 +115,7 @@ def test_cma_is_never_worse_than_full_distance(seed):
     q, d = _pair(seed + 5000)
     for kind, costs in [
         ("wed", C.erp_costs(q, d)),
-        ("dtw", C.dtw_costs(q, d)),
-        ("fd", C.fd_costs(q, d)),
+        ("dtw", C.euclid_matrix(q, d)),
+        ("fd", C.euclid_matrix(q, d)),
     ]:
         assert cma(kind, costs)[0] <= full_distance(kind, costs) + 1e-9

@@ -37,7 +37,7 @@ def test_dtw_matches_recursion(seed):
     rng = np.random.default_rng(seed + 100)
     q = random_traj(rng, int(rng.integers(1, 9)))
     d = random_traj(rng, int(rng.integers(1, 11)))
-    SUB = C.dtw_costs(q, d)
+    SUB = C.euclid_matrix(q, d)
     assert full_distance("dtw", SUB) == pytest.approx(recursive_distance("dtw", SUB))
 
 
@@ -46,7 +46,7 @@ def test_fd_matches_recursion(seed):
     rng = np.random.default_rng(seed + 150)
     q = random_traj(rng, int(rng.integers(1, 9)))
     d = random_traj(rng, int(rng.integers(1, 11)))
-    SUB = C.fd_costs(q, d)
+    SUB = C.euclid_matrix(q, d)
     assert full_distance("fd", SUB) == pytest.approx(recursive_distance("fd", SUB))
 
 
@@ -85,23 +85,23 @@ def test_example2_dtw_multi_matching_is_cheaper_than_wed():
 def test_dtw_known_zero_on_resampled():
     q = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
     d = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-    assert full_distance("dtw", C.dtw_costs(q, d)) == pytest.approx(0.0)
+    assert full_distance("dtw", C.euclid_matrix(q, d)) == pytest.approx(0.0)
 
 
 def test_fd_known_value():
     q = np.array([[0.0, 0.0], [3.0, 0.0]])
     d = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]])
-    assert full_distance("fd", C.fd_costs(q, d)) == pytest.approx(1.0)
+    assert full_distance("fd", C.euclid_matrix(q, d)) == pytest.approx(1.0)
 
 
 def test_full_distance_dispatch_and_errors():
     rng = np.random.default_rng(0)
     q, d = random_traj(rng, 4), random_traj(rng, 5)
-    assert full_distance("dtw", C.dtw_costs(q, d)) >= 0
-    assert full_distance("fd", C.fd_costs(q, d)) >= 0
+    assert full_distance("dtw", C.euclid_matrix(q, d)) >= 0
+    assert full_distance("fd", C.euclid_matrix(q, d)) >= 0
     assert full_distance("wed", C.erp_costs(q, d)) >= 0
     with pytest.raises(ValueError):
-        full_distance("lcss", C.dtw_costs(q, d))
+        full_distance("lcss", C.euclid_matrix(q, d))
 
 
 @pytest.mark.parametrize("seed", range(8))

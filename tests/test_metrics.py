@@ -28,7 +28,7 @@ def test_mr_rr_against_matrix():
 def test_effectiveness_of_exact_algorithm_is_perfect():
     rng = np.random.default_rng(0)
     q, d = random_traj(rng, 5), random_traj(rng, 12)
-    costs = C.dtw_costs(q, d)
+    costs = C.euclid_matrix(q, d)
     D = subtraj_distance_matrix("dtw", costs)
     found = cma("dtw", costs)[0]
     eff = metrics.effectiveness(found, D)
@@ -40,7 +40,7 @@ def test_effectiveness_of_exact_algorithm_is_perfect():
 def test_effectiveness_of_suboptimal_answer_ranks_worse():
     rng = np.random.default_rng(1)
     q, d = random_traj(rng, 4), random_traj(rng, 10)
-    costs = C.dtw_costs(q, d)
+    costs = C.euclid_matrix(q, d)
     D = subtraj_distance_matrix("dtw", costs)
     finite = np.sort(D[np.isfinite(D)])
     found = float(finite[len(finite) // 2])  # median subtrajectory

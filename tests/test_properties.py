@@ -22,7 +22,7 @@ def _traj(min_len=1, max_len=8):
 @settings(max_examples=60, deadline=None)
 @given(q=_traj(), d=_traj(min_len=1, max_len=10))
 def test_cma_dtw_exact_property(q, d):
-    costs = C.dtw_costs(q, d)
+    costs = C.euclid_matrix(q, d)
     assert np.isclose(cma("dtw", costs)[0], brute_force_best("dtw", costs)[0])
 
 
@@ -36,7 +36,7 @@ def test_cma_erp_exact_property(q, d):
 @settings(max_examples=60, deadline=None)
 @given(q=_traj(), d=_traj(min_len=1, max_len=10))
 def test_cma_fd_exact_property(q, d):
-    costs = C.fd_costs(q, d)
+    costs = C.euclid_matrix(q, d)
     assert np.isclose(cma("fd", costs)[0], brute_force_best("fd", costs)[0])
 
 
@@ -52,8 +52,8 @@ def test_cma_edr_exact_property(q, d, eps):
 def test_reported_window_achieves_reported_cost(q, d):
     for kind, costs in [
         ("wed", C.erp_costs(q, d)),
-        ("dtw", C.dtw_costs(q, d)),
-        ("fd", C.fd_costs(q, d)),
+        ("dtw", C.euclid_matrix(q, d)),
+        ("fd", C.euclid_matrix(q, d)),
     ]:
         dist, s, e = cma(kind, costs)
         assert 0 <= s <= e < len(d)
@@ -66,7 +66,7 @@ def test_query_equal_to_window_gives_zero(d):
     q = d[: max(1, len(d) // 2)]
     for kind, costs in [
         ("wed", C.erp_costs(q, d)),
-        ("dtw", C.dtw_costs(q, d)),
-        ("fd", C.fd_costs(q, d)),
+        ("dtw", C.euclid_matrix(q, d)),
+        ("fd", C.euclid_matrix(q, d)),
     ]:
         assert cma(kind, costs)[0] <= 1e-9

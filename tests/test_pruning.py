@@ -10,7 +10,7 @@ import pytest
 from repro.core import costs as C
 from repro.core.cma import cma
 from repro.eval.table2 import city_params
-from repro.oracle import assert_equivalent
+from repro.roadnet.graph import RoadNetwork
 from repro.search.api import build_pair_costs, kernel_kind, search_pair
 from repro.search.pruning import (
     gbp_candidates_df,
@@ -23,8 +23,10 @@ from repro.search.pruning import (
 )
 from repro.synth_data import explode_points, make_queries, taxi_trajectories, trajectories_df
 from tests.helpers import osf_bound
+from tests.oracle import assert_equivalent
 
 EPS = 0.8
+NET = RoadNetwork(8, 8, seed=7)
 
 
 @pytest.fixture(scope="module")
@@ -112,15 +114,25 @@ def test_key_point_indices_sampling():
     assert key_point_indices(6, 0.5).tolist() == [0, 2, 4]
 
 
-@pytest.mark.parametrize("distance", ["DTW", "ERP", "EDR", "FD"])
+@pytest.mark.parametrize(
+    "distance", ["DTW", "ERP", "EDR", "FD", "WED", "NetERP", "NetEDR", "SURS"]
+)
 @pytest.mark.parametrize("seed", range(8))
 def test_kpf_bound_below_true_optimum_at_full_rate(distance, seed):
-    """Theorem B.1: at r = 1 the bound is a true lower bound of min_j C_{m,j}."""
+    """Theorem B.1: at r = 1 the bound is a true lower bound of min_j C_{m,j},
+    for every distance function, when it prices points as the search does."""
     rng = np.random.default_rng(seed)
-    q = np.cumsum(rng.normal(0, 0.5, (6, 2)), axis=0)
-    d = np.cumsum(rng.normal(0, 0.5, (15, 2)), axis=0)
-    bound = kpf_bound(q, d, distance, r=1.0, eps=0.5)
-    opt = cma(kernel_kind(distance), build_pair_costs(distance, q, d, eps=0.5))[0]
+    if distance in ("NetERP", "NetEDR", "SURS"):
+        q, d = NET.random_walk(6, rng), NET.random_walk(15, rng)
+        if distance == "SURS":
+            q, d = NET.walk_edges(q), NET.walk_edges(d)
+        params = {"graph": NET}
+    else:
+        q = np.cumsum(rng.normal(0, 0.5, (6, 2)), axis=0)
+        d = np.cumsum(rng.normal(0, 0.5, (15, 2)), axis=0)
+        params = {"eps": 0.5}
+    bound = kpf_bound(q, d, distance, r=1.0, **params)
+    opt = cma(kernel_kind(distance), build_pair_costs(distance, q, d, **params))[0]
     assert bound <= opt + 1e-9
 
 

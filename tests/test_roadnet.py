@@ -6,7 +6,8 @@ import pytest
 
 from repro.core.cma import cma
 from repro.roadnet.graph import RoadNetwork
-from repro.roadnet.netcosts import build_net_costs, netedr_costs, neterp_costs, surs_costs
+from repro.roadnet.netcosts import netedr_costs, neterp_costs, surs_costs
+from repro.search.api import build_pair_costs
 from tests.helpers import brute_force_best, full_distance
 
 
@@ -84,7 +85,7 @@ def test_cma_exact_on_network_distances(net, distance, seed):
         q, d = net.walk_edges(qw), net.walk_edges(dw)
     else:
         q, d = qw, dw
-    costs = build_net_costs(distance, net, q, d)
+    costs = build_pair_costs(distance, q, d, graph=net)
     got = cma("wed", costs)
     ref = brute_force_best("wed", costs)
     assert got[0] == pytest.approx(ref[0])
@@ -123,7 +124,7 @@ def test_identical_walk_has_zero_distance_subtrajectory(net):
     dw = net.random_walk(20, rng)
     qw = dw[5:11]
     for distance in ("NetERP", "NetEDR"):
-        costs = build_net_costs(distance, net, qw, dw)
+        costs = build_pair_costs(distance, qw, dw, graph=net)
         dist, s, e = cma("wed", costs)
         assert dist == pytest.approx(0.0)
         # The returned window really is a zero-cost match.

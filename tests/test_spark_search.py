@@ -7,10 +7,10 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.oracle import assert_equivalent
 from repro.search.distributed import pairwise_search_df, topk_df
 from repro.search.local import pairwise_results, topk
 from repro.synth_data import explode_points, make_queries, taxi_trajectories, trajectories_df
+from tests.oracle import assert_equivalent
 
 
 @pytest.fixture(scope="module")

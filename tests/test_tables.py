@@ -6,6 +6,7 @@ import pandas as pd
 import pytest
 
 from repro.eval.table2 import format_table2, run_table2
+from repro.eval import table3
 from repro.eval.table3 import format_table3, run_table3
 from repro.eval.table4 import format_table4, run_table4
 
@@ -91,6 +92,22 @@ def test_table3_spark_matches_driver_funnel(spark):
     driver_rows = run_table3(None, **kw)[cols]
     assert len(spark_rows) == 6
     pd.testing.assert_frame_equal(spark_rows, driver_rows)
+
+
+def test_table3_runs_gbp_once_per_profile(monkeypatch):
+    """GBP does not depend on the distance, so each profile runs it once."""
+    calls = []
+    gbp = table3.gbp_candidates_local
+
+    def counted(*args):
+        calls.append(args)
+        return gbp(*args)
+
+    monkeypatch.setattr(table3, "gbp_candidates_local", counted)
+    df = run_table3(None, ("porto-test",), ("DTW", "EDR"), ("CMA",))
+    assert len(calls) == 1
+    assert df.pruned_pairs.tolist() == [21, 21]
+    assert df.searched_pairs.tolist() == [3, 3]
 
 
 def test_table4_static_summary():
