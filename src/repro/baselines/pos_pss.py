@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.cma import Result
 from repro.core.costs import WedCosts
 from repro.core.full_dp import full_lastrow, prefix_distances
-
-Result = tuple[float, int, int]
 
 
 def segment_distances(kind: str, costs: WedCosts | np.ndarray, start: int):

@@ -20,10 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.baselines.pos_pss import segment_distances
-from repro.core.cma import cma
+from repro.core.cma import Result, cma
 from repro.core.costs import WedCosts
-
-Result = tuple[float, int, int]
 
 _RATIO_BINS = np.array([1.0, 1.25, 1.6, 2.0, 3.0, 5.0])  # cur / best ratio
 _POS_BINS = np.array([0.25, 0.5, 0.75])  # scan progress

@@ -5,21 +5,18 @@ Each kernel returns ``(cost, start, end)`` where ``τd[start:end]``
 ``min_{i≤j} Θ(τq, τd[i:j])`` (Eq. 6: ``min_j C_{m,j}``).
 
 CMA is the classical distance DP with a *free-start* boundary, searched for
-its best end. The row recurrences are not written here: each family's row
-step lives in :mod:`repro.core.kernels`, shared with the full-distance DP
-(:mod:`repro.core.full_dp`) and the incremental DP of POS/PSS/RLS. CMA
-differs from them only in its boundary — the first row is the plain
-substitution row ``SUB[0]`` (the window may open at any data point), and
-for the WED family a fresh start costs nothing extra — and in carrying
-window starts along the rows. Tests check exactness against brute force
-and agreement with ExactS.
+its best end: the rows of :func:`repro.core.kernels.rows` with
+``anchored=False``, which the full-distance DP (:mod:`repro.core.full_dp`)
+runs with ``anchored=True``. CMA alone carries window starts along the rows,
+and reads the answer off the last row's argmin. Tests check exactness
+against brute force and agreement with ExactS.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from repro.core.costs import WedCosts
-from repro.core.kernels import prefix_sums, sub_rows, wed_rows
+from repro.core.kernels import rows
 
 Result = tuple[float, int, int]
 
@@ -27,15 +24,7 @@ Result = tuple[float, int, int]
 def cma(distance_kind: str, costs: WedCosts | np.ndarray) -> Result:
     """CMA for kernel kind ``'wed'`` (Eq. 7), ``'dtw'`` (Eq. 8) or ``'fd'``
     (Eq. 9): exact, O(mn)."""
-    if distance_kind == "wed":
-        starts = np.arange(costs.sub.shape[1])
-        rows = wed_rows(costs, prefix_sums(costs.insert), 0.0, starts)
-    elif distance_kind in ("dtw", "fd"):
-        SUB = np.asarray(costs)
-        rows = sub_rows(distance_kind, SUB, SUB[0], np.arange(SUB.shape[1]))
-    else:
-        raise ValueError(f"unknown kernel kind {distance_kind!r}")
-    for C, S in rows:
+    for C, S in rows(distance_kind, costs, anchored=False, starts=np.arange(costs.shape[1])):
         pass
     j = int(np.argmin(C))
     return float(C[j]), int(S[j]), j

@@ -8,12 +8,14 @@ family's row step, written here once:
 - :func:`dtw_row`: DTW (Eq. 3 / Eq. 8);
 - :func:`fd_row`: discrete Fréchet (Eq. 9).
 
-The callers differ only in the boundary row they start from (CMA's free
-start in :mod:`repro.core.cma`, the classical anchored start in
-:mod:`repro.core.full_dp`, SPRING's star row in :mod:`repro.baselines.spring`)
-and in whether they pass ``starts``, the window start of each cell of the
-previous row, to have it carried along the optimal path. Only CMA and SPRING
-track starts; the full DP and its callers pay nothing for it.
+:func:`rows` runs them over all query points from one of two boundaries,
+and is the one place that picks it: the *free* start of CMA
+(:mod:`repro.core.cma`) or the classical *anchored* start of the full DP
+(:mod:`repro.core.full_dp`). SPRING (:mod:`repro.baselines.spring`) calls
+:func:`dtw_row` directly on its star-padded pair. Callers that pass
+``starts``, the window start of each cell of the previous row, have it
+carried along the optimal path; only CMA and SPRING do, and the full DP and
+its callers pay nothing for it.
 
 The ``min_{k<j}`` terms of the WED and DTW rows become *running minima*
 after subtracting prefix sums, which numpy computes in O(n) per row — the
@@ -57,7 +59,7 @@ def wed_row(C, sub, dele, fresh, ins_pre, starts=None):
     far. The three terms delete τq[i] (τq[i-1]'s match stays at τd[j]);
     substitute τq[i] with τd[j], inserting the data points in between; or
     start fresh: substitute τq[i] with τd[j] after deleting all of τq[:i].
-    ``fresh`` is that last term, priced by the caller's boundary. Eq. 7
+    ``fresh`` is that last term, priced by :func:`rows`' boundary. Eq. 7
     writes it only for j = 1, but when deleting a point can be cheaper than
     substituting it (e.g. ERP with a query point near the reference) it is
     optimal at interior j too. ``ins_pre`` are the insertion prefix sums.
@@ -75,7 +77,7 @@ def wed_row(C, sub, dele, fresh, ins_pre, starts=None):
     else:
         gm, ga = running_min_argmin(g)
     c_sub = sub[1:] + ins_pre[1:n] + gm[: n - 1]
-    c_mid = c_del.copy()
+    c_mid = c_del if starts is None else c_del.copy()  # starts compare against c_del
     np.minimum(c_mid[1:], c_sub, out=c_mid[1:])
     c_new = np.minimum(c_mid, fresh)
     if starts is None:
@@ -135,33 +137,32 @@ def fd_row(C, sub, starts=None):
     return R, own[np.maximum.accumulate(src)]
 
 
-def wed_rows(costs: WedCosts, ins_pre, base, starts=None):
-    """Yield ``(C, starts)`` for each query point of a WED-family DP.
+def rows(kind: str, costs: WedCosts | np.ndarray, *, anchored: bool, starts=None):
+    """Yield ``(C, starts)`` for each query point of a DP of kernel kind
+    ``'wed'``, ``'dtw'`` or ``'fd'``, from its free or anchored boundary.
 
-    ``base`` is the boundary: what it costs to begin the window at each data
-    point (0 for a free start, the insertion of the data prefix for an
-    anchored one). It prices the first row and every fresh start.
-    ``ins_pre`` are the prefix sums of ``costs.insert``.
+    Free (CMA): the window may open at any data point, so the first row is
+    ``SUB[0]``. Anchored (the classical DP): it opens at τd[0], so τq[0]
+    matches all of τd[:j+1] — a running sum of ``SUB[0]`` for DTW, a running
+    max for FD — and for the WED family every start j first inserts τd[:j].
     """
-    SUB, DEL = costs.sub, costs.delete.tolist()
-    C = SUB[0] + base
-    yield C, starts
-    deleted = 0.0  # Σ DEL[:i]: a fresh start at row i deletes τq[:i]
-    for i in range(1, len(SUB)):
-        deleted += DEL[i - 1]
-        C, starts = wed_row(C, SUB[i], DEL[i], SUB[i] + (deleted + base), ins_pre, starts)
+    if kind == "wed":
+        SUB, DEL, ins_pre = costs.sub, costs.delete.tolist(), prefix_sums(costs.insert)
+        base = ins_pre[:-1] if anchored else 0.0  # the cost of opening at τd[j]
+        C = SUB[0] + base
         yield C, starts
-
-
-_SUB_ONLY_ROW = {"dtw": dtw_row, "fd": fd_row}
-
-
-def sub_rows(kind: str, SUB: np.ndarray, first: np.ndarray, starts=None):
-    """Yield ``(C, starts)`` for each query point of a DTW or FD DP whose
-    boundary is the first row ``first``."""
-    step = _SUB_ONLY_ROW[kind]
-    C = first
-    yield C, starts
-    for i in range(1, len(SUB)):
-        C, starts = step(C, SUB[i], starts)
+        deleted = 0.0  # Σ DEL[:i]: a fresh start at row i deletes τq[:i]
+        for i in range(1, len(SUB)):
+            deleted += DEL[i - 1]
+            C, starts = wed_row(C, SUB[i], DEL[i], SUB[i] + (deleted + base), ins_pre, starts)
+            yield C, starts
+    elif kind in ("dtw", "fd"):
+        SUB = np.asarray(costs)
+        C = (np.add if kind == "dtw" else np.maximum).accumulate(SUB[0]) if anchored else SUB[0]
         yield C, starts
+        step = dtw_row if kind == "dtw" else fd_row
+        for sub in SUB[1:]:
+            C, starts = step(C, sub, starts)
+            yield C, starts
+    else:
+        raise ValueError(f"unknown kernel kind {kind!r}")

@@ -99,19 +99,8 @@ def run_table2(
                         )
                     )
             for alg in algorithms:
-                if not per_alg[alg]:
-                    rows.append(
-                        dict(
-                            dataset=dataset_label(pname),
-                            algorithm=alg,
-                            distance=distance,
-                            AR=np.nan,
-                            MR=np.nan,
-                            RR=np.nan,
-                        )
-                    )
-                    continue
-                agg = pd.DataFrame(per_alg[alg]).mean()
+                # No supported (alg, distance) pair leaves the means NaN.
+                agg = pd.DataFrame(per_alg[alg], columns=["AR", "MR", "RR"], dtype=float).mean()
                 rows.append(
                     dict(
                         dataset=dataset_label(pname),

@@ -3,10 +3,10 @@
 The paper maps GPS datasets onto OSM road networks with RoutingKit and
 evaluates NetERP / NetEDR / SURS over network distances. Neither the data
 nor RoutingKit is available offline, so we build the closest synthetic
-equivalent: a jittered grid road network with perturbed edge weights,
-Dijkstra shortest-path distances (cached per source), and trajectories that
-are random walks on the graph — exercising exactly the same code paths
-(graph-distance-backed WED cost models over node/edge sequences).
+equivalent: a jittered grid road network with perturbed edge weights and
+Dijkstra shortest-path distances (cached per source). Trajectories on it are
+node or edge sequences, such as random walks — exercising exactly the same
+code paths (graph-distance-backed WED cost models over node/edge sequences).
 """
 from __future__ import annotations
 
@@ -68,40 +68,9 @@ class RoadNetwork:
         self._dist_cache[src] = dist
         return dist
 
-    def dist(self, u: int, v: int) -> float:
-        """Network distance between two nodes."""
-        return float(self.dijkstra(u)[v])
-
     def dist_matrix(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """Pairwise network distances, shape ``(len(us), len(vs))``."""
         return np.stack([self.dijkstra(int(u))[np.asarray(vs, dtype=int)] for u in us])
-
-    def random_walk(self, length: int, rng: np.random.Generator, start: int | None = None) -> np.ndarray:
-        """Node-id random walk of ``length`` steps (no immediate backtracking
-        when avoidable) — the map-matched synthetic trajectory model."""
-        u = int(rng.integers(self.n_nodes)) if start is None else start
-        walk = [u]
-        prev = -1
-        for _ in range(length - 1):
-            nbrs = [v for v, _ in self.adj[u]]
-            choices = [v for v in nbrs if v != prev] or nbrs
-            prev, u = u, int(choices[rng.integers(len(choices))])
-            walk.append(u)
-        return np.asarray(walk, dtype=np.int64)
-
-    def walk_edges(self, walk: np.ndarray) -> np.ndarray:
-        """Edge-id sequence of a node walk (for SURS, whose points are edges).
-
-        Edge id = index into ``self.edges`` with (u, v) normalised u < v.
-        """
-        key = {}
-        for idx, (u, v, _) in enumerate(self.edges):
-            key[(u, v)] = idx
-            key[(v, u)] = idx
-        return np.asarray(
-            [key[(int(a), int(b))] for a, b in zip(walk[:-1], walk[1:])],
-            dtype=np.int64,
-        )
 
     def edge_weights(self) -> np.ndarray:
         return np.asarray([w for _, _, w in self.edges])

@@ -17,10 +17,8 @@ from repro.baselines.pos_pss import pos, pss
 from repro.baselines.rls import RLSPolicy
 from repro.baselines.spring import spring_dtw
 from repro.core import costs as C
-from repro.core.cma import cma
+from repro.core.cma import Result, cma
 from repro.roadnet import netcosts as N
-
-Result = tuple[float, int, int]
 
 EXACT_ALGORITHMS = ("CMA", "ExactS", "Spring", "GB")
 

@@ -1,5 +1,6 @@
-"""Shared test utilities: tiny trajectory factories, an O(mn³)
-brute-force reference and the OSF-like envelope bound KPF is compared with.
+"""Shared test utilities: tiny trajectory and road-network walk factories,
+an O(mn³) brute-force reference and the OSF-like envelope bound KPF is
+compared with.
 
 The reference is *independent* of ``src/``: it scores every window with
 the textbook memoised recursions below (Eq. 2, Eq. 3 and discrete Fréchet
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core.full_dp import full_lastrow
+from repro.roadnet.graph import RoadNetwork
 
 #: (m, n) shapes that stress the DP boundary rows: single points and n < m.
 EDGE_SHAPES = [
@@ -127,6 +129,36 @@ def random_symbol_traj(rng: np.random.Generator, n: int, alphabet: int = 4) -> n
 def symbols(s: str) -> np.ndarray:
     """Paper-style letter trajectory → 1-D points ('a' → 0.0, 'b' → 1.0 …)."""
     return np.array([[float(ord(c) - ord("a"))] for c in s])
+
+
+def random_walk(net: RoadNetwork, length: int, rng: np.random.Generator) -> np.ndarray:
+    """Node-id random walk of ``length`` steps on ``net`` from a random node
+    (no immediate backtracking when avoidable): the map-matched trajectory
+    model."""
+    u = int(rng.integers(net.n_nodes))
+    walk = [u]
+    prev = -1
+    for _ in range(length - 1):
+        nbrs = [v for v, _ in net.adj[u]]
+        choices = [v for v in nbrs if v != prev] or nbrs
+        prev, u = u, int(choices[rng.integers(len(choices))])
+        walk.append(u)
+    return np.asarray(walk, dtype=np.int64)
+
+
+def walk_edges(net: RoadNetwork, walk: np.ndarray) -> np.ndarray:
+    """Edge-id sequence of a node walk (for SURS, whose points are edges).
+
+    Edge id = index into ``net.edges``, whichever way the walk crosses it.
+    """
+    key = {}
+    for idx, (u, v, _) in enumerate(net.edges):
+        key[(u, v)] = idx
+        key[(v, u)] = idx
+    return np.asarray(
+        [key[(int(a), int(b))] for a, b in zip(walk[:-1], walk[1:])],
+        dtype=np.int64,
+    )
 
 
 def osf_bound(

@@ -17,7 +17,7 @@ from repro.search.api import (
 )
 from repro.search.local import pairwise_results, topk
 from repro.search.pruning import kpf_bound
-from tests.helpers import random_traj
+from tests.helpers import random_traj, random_walk, walk_edges
 
 
 def test_kernel_kind_mapping():
@@ -37,10 +37,10 @@ def test_distance_table_kind_matches_cost_type():
     }
     g = RoadNetwork(5, 5)
     rng = np.random.default_rng(5)
-    walk = g.random_walk(6, rng)
+    walk = random_walk(g, 6, rng)
     for distance in DISTANCES:
         if distance == "SURS":
-            q, d = g.walk_edges(walk[:3]), g.walk_edges(walk)
+            q, d = walk_edges(g, walk[:3]), walk_edges(g, walk)
         elif distance.startswith("Net"):
             q, d = walk[:3], walk
         else:
@@ -117,8 +117,8 @@ def test_all_exact_algorithms_agree(distance):
 def test_build_pair_costs_net_requires_graph():
     g = RoadNetwork(5, 5)
     rng = np.random.default_rng(1)
-    qn = g.random_walk(3, rng)
-    dn = g.random_walk(6, rng)
+    qn = random_walk(g, 3, rng)
+    dn = random_walk(g, 6, rng)
     costs = build_pair_costs("NetERP", qn, dn, graph=g)
     assert costs.sub.shape == (3, 6)
     with pytest.raises(KeyError):
@@ -128,7 +128,7 @@ def test_build_pair_costs_net_requires_graph():
 def test_search_pair_net_distance_end_to_end():
     g = RoadNetwork(6, 6, seed=3)
     rng = np.random.default_rng(2)
-    dw = g.random_walk(15, rng)
+    dw = random_walk(g, 15, rng)
     qw = dw[4:9]
     dist, s, e = search_pair("CMA", "NetEDR", qw, dw, graph=g)
     assert dist == pytest.approx(0.0)

@@ -12,6 +12,7 @@ from repro.core.cma import cma
 from repro.eval.table2 import city_params
 from repro.roadnet.graph import RoadNetwork
 from repro.search.api import build_pair_costs, kernel_kind, search_pair
+from repro.search.local import pairwise_results, topk
 from repro.search.pruning import (
     gbp_candidates_df,
     gbp_candidates_local,
@@ -22,7 +23,7 @@ from repro.search.pruning import (
     kpf_survivors,
 )
 from repro.synth_data import explode_points, make_queries, taxi_trajectories, trajectories_df
-from tests.helpers import osf_bound
+from tests.helpers import osf_bound, random_walk, walk_edges
 from tests.oracle import assert_equivalent
 
 EPS = 0.8
@@ -123,9 +124,9 @@ def test_kpf_bound_below_true_optimum_at_full_rate(distance, seed):
     for every distance function, when it prices points as the search does."""
     rng = np.random.default_rng(seed)
     if distance in ("NetERP", "NetEDR", "SURS"):
-        q, d = NET.random_walk(6, rng), NET.random_walk(15, rng)
+        q, d = random_walk(NET, 6, rng), random_walk(NET, 15, rng)
         if distance == "SURS":
-            q, d = NET.walk_edges(q), NET.walk_edges(d)
+            q, d = walk_edges(NET, q), walk_edges(NET, d)
         params = {"graph": NET}
     else:
         q = np.cumsum(rng.normal(0, 0.5, (6, 2)), axis=0)
@@ -149,6 +150,17 @@ def test_kpf_survivors_keep_optimum_at_full_rate(sets, distance):
         assert (qid, int(np.argmin(dists))) in kept
     if distance == "DTW":
         assert len(kept) < len(pairs)
+
+
+@pytest.mark.parametrize("distance", ["DTW", "ERP", "EDR", "FD"])
+def test_empty_survivor_set_on_driver_path(sets, distance):
+    """When GBP keeps no pair, KPF, the search and the top-K each pass the
+    empty set through instead of failing on it."""
+    queries, data = sets
+    params = city_params("porto", distance)
+    assert kpf_survivors(queries, data, set(), distance, params, r=0.5) == set()
+    assert pairwise_results("CMA", distance, queries, data, pairs=set(), **params) == []
+    assert topk([], 1) == []
 
 
 # --------------------------------------------------------------- OSF-like

@@ -8,7 +8,7 @@ from repro.core.cma import cma
 from repro.roadnet.graph import RoadNetwork
 from repro.roadnet.netcosts import netedr_costs, neterp_costs, surs_costs
 from repro.search.api import build_pair_costs
-from tests.helpers import brute_force_best, full_distance
+from tests.helpers import brute_force_best, full_distance, random_walk, walk_edges
 
 
 @pytest.fixture(scope="module")
@@ -28,9 +28,9 @@ def test_dijkstra_identity_symmetry_triangle(net):
     rng = np.random.default_rng(0)
     for _ in range(10):
         u, v, w = (int(x) for x in rng.integers(0, net.n_nodes, 3))
-        assert net.dist(u, u) == 0.0
-        assert net.dist(u, v) == pytest.approx(net.dist(v, u))
-        assert net.dist(u, w) <= net.dist(u, v) + net.dist(v, w) + 1e-9
+        assert net.dijkstra(u)[u] == 0.0
+        assert net.dijkstra(u)[v] == pytest.approx(net.dijkstra(v)[u])
+        assert net.dijkstra(u)[w] <= net.dijkstra(u)[v] + net.dijkstra(v)[w] + 1e-9
 
 
 def test_dijkstra_vs_bruteforce_bellman_ford(net):
@@ -52,12 +52,12 @@ def test_dist_matrix_matches_pointwise(net):
     M = net.dist_matrix(us, vs)
     for i, u in enumerate(us):
         for j, v in enumerate(vs):
-            assert M[i, j] == pytest.approx(net.dist(int(u), int(v)))
+            assert M[i, j] == pytest.approx(net.dijkstra(int(u))[int(v)])
 
 
 def test_random_walk_is_connected_path(net):
     rng = np.random.default_rng(1)
-    walk = net.random_walk(30, rng)
+    walk = random_walk(net, 30, rng)
     assert len(walk) == 30
     nbrs = [set(v for v, _ in net.adj[u]) for u in range(net.n_nodes)]
     for a, b in zip(walk[:-1], walk[1:]):
@@ -66,8 +66,8 @@ def test_random_walk_is_connected_path(net):
 
 def test_walk_edges_roundtrip(net):
     rng = np.random.default_rng(2)
-    walk = net.random_walk(12, rng)
-    eids = net.walk_edges(walk)
+    walk = random_walk(net, 12, rng)
+    eids = walk_edges(net, walk)
     assert len(eids) == 11
     for (a, b), eid in zip(zip(walk[:-1], walk[1:]), eids):
         u, v, _ = net.edges[int(eid)]
@@ -79,10 +79,10 @@ def test_walk_edges_roundtrip(net):
 def test_cma_exact_on_network_distances(net, distance, seed):
     """Net* are WED special cases: CMA must stay exact on them (App. D)."""
     rng = np.random.default_rng(seed)
-    qw = net.random_walk(int(rng.integers(2, 6)), rng)
-    dw = net.random_walk(int(rng.integers(4, 10)), rng)
+    qw = random_walk(net, int(rng.integers(2, 6)), rng)
+    dw = random_walk(net, int(rng.integers(4, 10)), rng)
     if distance == "SURS":
-        q, d = net.walk_edges(qw), net.walk_edges(dw)
+        q, d = walk_edges(net, qw), walk_edges(net, dw)
     else:
         q, d = qw, dw
     costs = build_pair_costs(distance, q, d, graph=net)
@@ -103,9 +103,9 @@ def test_neterp_costs_use_network_distance(net):
     q = np.array([0, 9])
     d = np.array([5])
     c = neterp_costs(net, q, d, ref=0)
-    assert c.sub[0, 0] == pytest.approx(net.dist(0, 5))
+    assert c.sub[0, 0] == pytest.approx(net.dijkstra(0)[5])
     assert c.delete[0] == 0.0  # q[0] is the reference node
-    assert c.insert[0] == pytest.approx(net.dist(5, 0))
+    assert c.insert[0] == pytest.approx(net.dijkstra(5)[0])
 
 
 def test_surs_costs_edge_weights(net):
@@ -121,7 +121,7 @@ def test_surs_costs_edge_weights(net):
 
 def test_identical_walk_has_zero_distance_subtrajectory(net):
     rng = np.random.default_rng(9)
-    dw = net.random_walk(20, rng)
+    dw = random_walk(net, 20, rng)
     qw = dw[5:11]
     for distance in ("NetERP", "NetEDR"):
         costs = build_pair_costs(distance, qw, dw, graph=net)
