@@ -25,6 +25,8 @@ from repro.core.costs import WedCosts
 
 _RATIO_BINS = np.array([1.0, 1.25, 1.6, 2.0, 3.0, 5.0])  # cur / best ratio
 _POS_BINS = np.array([0.25, 0.5, 0.75])  # scan progress
+_EPOCHS, _EXPLORE = 2, 0.25  # training sweeps over the episodes; ε-greedy rate
+_ALPHA, _GAMMA = 0.3, 0.95  # Q-learning step size and discount
 
 
 class RLSPolicy:
@@ -44,16 +46,7 @@ class RLSPolicy:
         p = int(np.searchsorted(_POS_BINS, t / max(n - 1, 1)))
         return r * (len(_POS_BINS) + 1) + p
 
-    def _run(
-        self,
-        kind: str,
-        costs: WedCosts | np.ndarray,
-        *,
-        explore: float = 0.0,
-        learn: bool = False,
-        alpha: float = 0.3,
-        gamma: float = 0.95,
-    ) -> Result:
+    def _run(self, kind: str, costs: WedCosts | np.ndarray, *, learn: bool = False) -> Result:
         n = costs.shape[1]
         dists = segment_distances(kind, costs, 0)
         best: Result = (np.inf, 0, 0)
@@ -69,14 +62,14 @@ class RLSPolicy:
             state = self._state(cur, best[0], t, n)
             if learn and prev_sa is not None:
                 ps, pa = prev_sa
-                self.Q[ps, pa] += alpha * (
-                    reward + gamma * self.Q[state].max() - self.Q[ps, pa]
+                self.Q[ps, pa] += _ALPHA * (
+                    reward + _GAMMA * self.Q[state].max() - self.Q[ps, pa]
                 )
             if skip_next:
                 skip_next = False
                 prev_sa = None
                 continue
-            if explore > 0 and self.rng.random() < explore:
+            if learn and self.rng.random() < _EXPLORE:
                 action = int(self.rng.integers(self.n_actions))
             else:
                 action = int(np.argmax(self.Q[state]))
@@ -90,20 +83,14 @@ class RLSPolicy:
             opt = cma(kind, costs)[0]
             terminal = opt / best[0] if best[0] > 0 else 1.0
             ps, pa = prev_sa
-            self.Q[ps, pa] += alpha * (terminal - self.Q[ps, pa])
+            self.Q[ps, pa] += _ALPHA * (terminal - self.Q[ps, pa])
         return best
 
-    def train(
-        self,
-        episodes: list[tuple[str, WedCosts | np.ndarray]],
-        *,
-        epochs: int = 3,
-        explore: float = 0.25,
-    ) -> "RLSPolicy":
+    def train(self, episodes: list[tuple[str, WedCosts | np.ndarray]]) -> "RLSPolicy":
         """ε-greedy Q-learning over (kind, costs) training pairs."""
-        for _ in range(epochs):
+        for _ in range(_EPOCHS):
             for kind, costs in episodes:
-                self._run(kind, costs, explore=explore, learn=True)
+                self._run(kind, costs, learn=True)
         return self
 
     def search(self, kind: str, costs: WedCosts | np.ndarray) -> Result:

@@ -18,11 +18,12 @@ from repro.baselines.rls import RLSPolicy
 from repro.core.cma import cma
 from repro.eval import metrics
 from repro.eval.datasets import dataset_label, load_profile
-from repro.search.api import build_pair_costs, kernel_kind, search_pair, supports
+from repro.search.api import ALGORITHMS, build_pair_costs, kernel_kind, search_pair, supports
 from repro.synth_data import CITY_SPECS
 
 DEFAULT_DISTANCES = ("DTW", "EDR", "ERP", "FD")
-DEFAULT_ALGORITHMS = ("POS", "PSS", "RLS", "RLS-Skip", "CMA", "ExactS", "Spring", "GB")
+DEFAULT_ALGORITHMS = tuple(ALGORITHMS)
+_TRAIN_PAIRS = 6  # (query, data) episodes per distance that train the RLS policies
 
 
 def city_params(city: str, distance: str, *, bbox_scale: float = 1.0) -> dict:
@@ -41,8 +42,6 @@ def train_policies(
     distances: tuple[str, ...],
     params_for,
     *,
-    n_pairs: int = 6,
-    epochs: int = 2,
     seed: int = 0,
 ) -> dict[tuple[str, str], RLSPolicy]:
     """One tabular policy per (distance, ``"RLS"`` | ``"RLS-Skip"``), trained
@@ -52,14 +51,12 @@ def train_policies(
     for distance in distances:
         kind = kernel_kind(distance)
         episodes = []
-        for _ in range(n_pairs):
+        for _ in range(_TRAIN_PAIRS):
             q = queries[int(rng.integers(len(queries)))]
             d = data[int(rng.integers(len(data)))]
             episodes.append((kind, build_pair_costs(distance, q, d, **params_for(distance))))
         for alg in ("RLS", "RLS-Skip"):
-            out[(distance, alg)] = RLSPolicy(skip=alg == "RLS-Skip", seed=seed).train(
-                episodes, epochs=epochs
-            )
+            out[(distance, alg)] = RLSPolicy(skip=alg == "RLS-Skip", seed=seed).train(episodes)
     return out
 
 

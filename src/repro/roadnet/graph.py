@@ -18,20 +18,18 @@ import numpy as np
 class RoadNetwork:
     """Grid road network: ``width × height`` nodes, 4-neighbour edges.
 
-    Node ids are ``y * width + x``. Coordinates carry deterministic jitter;
-    edge weights are Euclidean length × a perturbation in [1, 1.5) so
-    shortest paths are not trivially Manhattan.
+    Node ids are ``y * width + x`` on a 1 km grid. Coordinates carry
+    deterministic jitter; edge weights are Euclidean length × a
+    perturbation in [1, 1.5) so shortest paths are not trivially Manhattan.
     """
 
-    def __init__(self, width: int = 12, height: int = 12, *, cell_km: float = 1.0, seed: int = 7):
+    def __init__(self, width: int = 12, height: int = 12, *, seed: int = 7):
         self.width, self.height = width, height
         self.n_nodes = width * height
         rng = np.random.default_rng(seed)
         xs, ys = np.meshgrid(np.arange(width), np.arange(height))
         jitter = rng.uniform(-0.2, 0.2, size=(self.n_nodes, 2))
-        self.coords = (
-            np.column_stack([xs.ravel(), ys.ravel()]).astype(np.float64) + jitter
-        ) * cell_km
+        self.coords = np.column_stack([xs.ravel(), ys.ravel()]).astype(np.float64) + jitter
         self.adj: list[list[tuple[int, float]]] = [[] for _ in range(self.n_nodes)]
         self.edges: list[tuple[int, int, float]] = []
         for y in range(height):

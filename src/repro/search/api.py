@@ -3,7 +3,8 @@
 This is the single entry point the search layers, the table harnesses and
 KPF call. ``DISTANCES`` maps each distance function to its kernel kind
 (``wed`` / ``dtw`` / ``fd``) and cost model, ``build_pair_costs`` checks a
-pair and builds its costs, and ``search_pair`` runs the selected algorithm.
+pair and builds its costs, and ``search_pair`` runs the algorithm that
+``ALGORITHMS`` names.
 Applicability follows the paper's Table 4: Spring is DTW-only, GB is
 FD-only; everything else supports all order-insensitive functions.
 """
@@ -44,8 +45,24 @@ def kernel_kind(distance: str) -> str:
     return DISTANCES[distance][0]
 
 
+#: Algorithm → ``(kind, costs, policy) → Result``, in the Table 2/3 order.
+#: RLS and RLS-Skip fall back to an untrained policy when none is given.
+ALGORITHMS = {
+    "POS": lambda kind, costs, policy: pos(kind, costs),
+    "PSS": lambda kind, costs, policy: pss(kind, costs),
+    "RLS": lambda kind, costs, policy: (policy or RLSPolicy()).search(kind, costs),
+    "RLS-Skip": lambda kind, costs, policy: (policy or RLSPolicy(skip=True)).search(kind, costs),
+    "CMA": lambda kind, costs, policy: cma(kind, costs),
+    "ExactS": lambda kind, costs, policy: exacts(kind, costs),
+    "Spring": lambda kind, costs, policy: spring_dtw(np.asarray(costs))[:3],
+    "GB": lambda kind, costs, policy: gb_fd(np.asarray(costs)),
+}
+
+
 def supports(algorithm: str, distance: str) -> bool:
     """Paper Table 4 applicability (dashes in Tables 2/3)."""
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
     if algorithm == "Spring":
         return distance == "DTW"
     if algorithm == "GB":
@@ -78,21 +95,4 @@ def search_pair(
     if not supports(algorithm, distance):
         raise ValueError(f"{algorithm} does not support {distance} (paper Table 4)")
     kind = kernel_kind(distance)
-    costs = build_pair_costs(distance, q, d, **params)
-    if algorithm == "CMA":
-        return cma(kind, costs)
-    if algorithm == "ExactS":
-        return exacts(kind, costs)
-    if algorithm == "Spring":
-        return spring_dtw(np.asarray(costs))[:3]
-    if algorithm == "GB":
-        return gb_fd(np.asarray(costs))
-    if algorithm == "POS":
-        return pos(kind, costs)
-    if algorithm == "PSS":
-        return pss(kind, costs)
-    if algorithm in ("RLS", "RLS-Skip"):
-        if policy is None:
-            policy = RLSPolicy(skip=algorithm == "RLS-Skip")
-        return policy.search(kind, costs)
-    raise ValueError(f"unknown algorithm {algorithm!r}")
+    return ALGORITHMS[algorithm](kind, build_pair_costs(distance, q, d, **params), policy)

@@ -1,12 +1,13 @@
 """Distributed similar-subtrajectory search (the repro's Spark dataflow).
 
-The O(mn) per-pair kernel runs in an Arrow-backed ``mapInPandas`` UDF. The
-(small) query set is broadcast, and every row the UDF sees is one
-(query, trajectory) pair built on the cached data partitions without a
-shuffle: the pruning survivors are broadcast-joined to the trajectories,
-or, unpruned, each trajectory row is exploded over every query id. The
-final top-K per query is a Catalyst window query (oracle-checked against
-DuckDB in tests).
+The per-pair search runs in an Arrow-backed ``mapInPandas`` UDF: each task
+runs the driver's own loop, :func:`repro.search.local.search_rows`, over
+its batch of (query, trajectory) rows, and Arrow casts the rows to
+``PAIR_SCHEMA``. The (small) query set is broadcast, and the pair rows are
+built on the cached data partitions without a shuffle: the pruning
+survivors are broadcast-joined to the trajectories, or, unpruned, each
+trajectory row is exploded over every query id. The final top-K per query
+is a Catalyst window query (oracle-checked against DuckDB in tests).
 """
 from __future__ import annotations
 
@@ -18,9 +19,17 @@ from pyspark.sql import DataFrame, SparkSession, Window
 from pyspark.sql import functions as F
 
 from repro.baselines.rls import RLSPolicy
-from repro.search.api import search_pair
+from repro.search.local import COLUMNS, PAIR_SCHEMA, search_rows
 
-PAIR_SCHEMA = "query_id long, traj_id long, dist double, start int, end int"
+
+def _decoded(pdf: pd.DataFrame) -> Iterator[tuple[int, int, np.ndarray]]:
+    """``(query_id, traj_id, τd)`` per row. Both plans emit the pairs of one
+    trajectory as adjacent rows, so its points are decoded once per run."""
+    prev_tid = d = None
+    for qid, tid, pts in zip(pdf["query_id"], pdf["traj_id"], pdf["pts"]):
+        if tid != prev_tid:
+            d, prev_tid = np.asarray([np.asarray(p) for p in pts], dtype=np.float64), tid
+        yield qid, tid, d
 
 
 def pairwise_search_df(
@@ -53,35 +62,11 @@ def pairwise_search_df(
     bp = spark.sparkContext.broadcast(policy)
 
     def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        queries_local = bq.value
-        policy_local = bp.value
         for pdf in batches:
-            out = {"query_id": [], "traj_id": [], "dist": [], "start": [], "end": []}
-            prev_tid = d = None
-            for tid, pts, qid in zip(pdf["traj_id"], pdf["pts"], pdf["query_id"]):
-                # Both plans emit the pairs of one trajectory as adjacent
-                # rows, so its points are decoded once per run.
-                if tid != prev_tid:
-                    d = np.asarray([np.asarray(p) for p in pts], dtype=np.float64)
-                    prev_tid = tid
-                dist, s, e = search_pair(
-                    algorithm, distance, queries_local[qid], d,
-                    policy=policy_local, **params,
-                )
-                out["query_id"].append(qid)
-                out["traj_id"].append(tid)
-                out["dist"].append(float(dist))
-                out["start"].append(int(s))
-                out["end"].append(int(e))
-            yield pd.DataFrame(out).astype(
-                {
-                    "query_id": "int64",
-                    "traj_id": "int64",
-                    "dist": "float64",
-                    "start": "int32",
-                    "end": "int32",
-                }
+            rows = search_rows(
+                algorithm, distance, bq.value, _decoded(pdf), policy=bp.value, **params
             )
+            yield pd.DataFrame(rows, columns=COLUMNS)
 
     return work.mapInPandas(run, PAIR_SCHEMA)
 

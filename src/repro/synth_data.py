@@ -8,10 +8,6 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(seed)
-
-
 # ---------------------------------------------------------------------------
 # Trajectory data (similar-subtrajectory-search reproduction)
 #
@@ -69,7 +65,7 @@ def taxi_trajectories(
     """
     spec = CITY_SPECS[city]
     bbox = (spec["bbox"][0] * bbox_scale, spec["bbox"][1] * bbox_scale)
-    g = _rng(seed)
+    g = np.random.default_rng(seed)
     out = []
     for _ in range(n):
         length = max(
@@ -99,7 +95,7 @@ def make_queries(
     """
     spec = CITY_SPECS[city]
     bbox = (spec["bbox"][0] * bbox_scale, spec["bbox"][1] * bbox_scale)
-    g = _rng(seed)
+    g = np.random.default_rng(seed)
     lo, hi = len_range
     out = []
     for _ in range(q):

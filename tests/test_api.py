@@ -99,6 +99,8 @@ def test_search_pair_rejects_unsupported_combo():
         search_pair("Spring", "ERP", q, d)
     with pytest.raises(ValueError):
         search_pair("NoSuchAlg", "DTW", q, d)
+    with pytest.raises(ValueError, match="unknown algorithm"):
+        supports("NoSuchAlg", "DTW")
 
 
 @pytest.mark.parametrize("distance", ["DTW", "ERP", "EDR", "FD"])

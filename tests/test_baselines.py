@@ -242,7 +242,7 @@ def test_rls_policy_trains_and_returns_valid_windows(skip):
         q = random_traj(rng, 5)
         d = np.vstack([random_traj(rng, 4) + 20, q + rng.normal(0, 0.2, q.shape)])
         episodes.append(("dtw", C.euclid_matrix(q, d)))
-    policy = RLSPolicy(skip=skip, seed=0).train(episodes, epochs=2)
+    policy = RLSPolicy(skip=skip, seed=0).train(episodes)
     q, d = _pair(77)
     costs = C.euclid_matrix(q, d)
     dist, s, e = policy.search("dtw", costs)
@@ -255,5 +255,5 @@ def test_rls_search_is_deterministic_after_training():
     rng = np.random.default_rng(5)
     q, d = random_traj(rng, 5), random_traj(rng, 20)
     costs = C.euclid_matrix(q, d)
-    p = RLSPolicy(seed=1).train([("dtw", costs)], epochs=1)
+    p = RLSPolicy(seed=1).train([("dtw", costs)])
     assert p.search("dtw", costs) == p.search("dtw", costs)

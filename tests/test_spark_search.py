@@ -7,6 +7,8 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.eval.table2 import DEFAULT_ALGORITHMS, DEFAULT_DISTANCES, train_policies
+from repro.search.api import supports
 from repro.search.distributed import pairwise_search_df, topk_df
 from repro.search.local import pairwise_results, topk
 from repro.synth_data import explode_points, make_queries, taxi_trajectories, trajectories_df
@@ -16,6 +18,9 @@ from tests.oracle import assert_equivalent
 @pytest.fixture(scope="module")
 def tiny():
     data = taxi_trajectories("porto", 10, seed=21, len_scale=0.5)
+    # Edge inputs: a one-point trajectory, one shorter than every query
+    # (queries have 6–10 points), and one whose points each repeat.
+    data += [data[0][:1], data[1][:3], np.repeat(data[2][:4], 3, axis=0)]
     queries = make_queries("porto", 3, len_range=(6, 10), seed=22)
     return queries, data
 
@@ -26,26 +31,26 @@ def tiny_df(spark, tiny):
     return trajectories_df(spark, data)
 
 
-@pytest.mark.parametrize("algorithm,distance", [
-    ("CMA", "DTW"),
-    ("CMA", "ERP"),
-    ("CMA", "EDR"),
-    ("CMA", "FD"),
-    ("ExactS", "DTW"),
-    ("POS", "ERP"),
-    ("PSS", "DTW"),
-    ("Spring", "DTW"),
-    ("GB", "FD"),
-])
-def test_distributed_equals_local(spark, tiny, tiny_df, algorithm, distance):
+@pytest.fixture(scope="module")
+def policies(tiny):
+    """Trained RLS / RLS-Skip policies, keyed (distance, algorithm)."""
     queries, data = tiny
+    return train_policies(queries, data, DEFAULT_DISTANCES, lambda distance: {})
+
+
+@pytest.mark.parametrize("algorithm,distance", [
+    (alg, dist) for alg in DEFAULT_ALGORITHMS for dist in DEFAULT_DISTANCES if supports(alg, dist)
+])
+def test_distributed_equals_local(spark, tiny, tiny_df, policies, algorithm, distance):
+    queries, data = tiny
+    policy = policies.get((distance, algorithm))
     got = (
-        pairwise_search_df(spark, queries, tiny_df, algorithm, distance)
+        pairwise_search_df(spark, queries, tiny_df, algorithm, distance, policy=policy)
         .toPandas()
         .sort_values(["query_id", "traj_id"])
         .reset_index(drop=True)
     )
-    ref = pd.DataFrame(pairwise_results(algorithm, distance, queries, data))
+    ref = pd.DataFrame(pairwise_results(algorithm, distance, queries, data, policy=policy))
     ref = ref.sort_values(["query_id", "traj_id"]).reset_index(drop=True)
     pd.testing.assert_frame_equal(
         got.astype({"start": "int64", "end": "int64"}), ref, check_dtype=False
@@ -85,6 +90,25 @@ def test_topk_local_matches_spark(spark, tiny, tiny_df):
         got[["query_id", "traj_id", "dist"]],
         ref[["query_id", "traj_id", "dist"]],
         check_dtype=False,
+    )
+
+
+def test_topk_local_matches_spark_row_for_row_under_edr_ties(spark, tiny, tiny_df):
+    """EDR's integer distances tie: some query's 2nd and 3rd best are equal,
+    so the (dist, traj_id) tie-break picks which trajectories make its top 2."""
+    queries, data = tiny
+    rows = pairwise_results("CMA", "EDR", queries, data)
+    ranks = [sorted(r["dist"] for r in rows if r["query_id"] == qid) for qid in range(3)]
+    assert any(second == third for _, second, third, *_ in ranks)
+    got = (
+        topk_df(pairwise_search_df(spark, queries, tiny_df, "CMA", "EDR"), k=2)
+        .toPandas()
+        .sort_values(["query_id", "dist", "traj_id"])
+        .reset_index(drop=True)
+    )
+    ref = pd.DataFrame(topk(rows, k=2))
+    pd.testing.assert_frame_equal(
+        got.astype({"start": "int64", "end": "int64"}), ref, check_dtype=False
     )
 
 
