@@ -8,9 +8,14 @@ built on the cached data partitions without a shuffle: the pruning
 survivors are broadcast-joined to the trajectories, or, unpruned, each
 trajectory row is exploded over every query id. The final top-K per query
 is a Catalyst window query (oracle-checked against DuckDB in tests).
+
+Each task first makes its worker's zip-import cache invalidation lazy
+(:func:`_lazy_zip_imports`).
 """
 from __future__ import annotations
 
+import sys
+import zipimport
 from typing import Iterator
 
 import numpy as np
@@ -20,6 +25,55 @@ from pyspark.sql import functions as F
 
 from repro.baselines.rls import RLSPolicy
 from repro.search.local import COLUMNS, PAIR_SCHEMA, search_rows
+
+
+class _LazyZipImporter(zipimport.zipimporter):
+    """A ``zipimporter`` with Python 3.13's lazy ``invalidate_caches``: it
+    only drops the archive's directory, which the next access by any method
+    re-reads. Before 3.13 every method reads the directory as ``self._files``,
+    and ``invalidate_caches`` re-reads it at once."""
+
+    @property
+    def _files(self) -> dict:
+        try:
+            return zipimport._zip_directory_cache[self.archive]
+        except KeyError:
+            try:
+                files = zipimport._read_directory(self.archive)
+            except zipimport.ZipImportError:
+                return {}
+            zipimport._zip_directory_cache[self.archive] = files
+            return files
+
+    @_files.setter
+    def _files(self, files: dict) -> None:
+        # ``zipimporter.__init__`` assigns the directory it has just stored
+        # in ``_zip_directory_cache``, which the getter reads.
+        pass
+
+    def invalidate_caches(self) -> None:
+        zipimport._zip_directory_cache.pop(self.archive, None)
+
+
+def _lazy_zip_imports() -> None:
+    """Make zip-import cache invalidation lazy in this process (idempotent).
+
+    PySpark's Python worker calls ``importlib.invalidate_caches()`` at the
+    start of every task; with the eager 3.11/3.12 ``zipimporter`` that re-reads
+    the directory of every archive finder (``pyspark.zip``, py4j, the Spark
+    jar): 128–225 ms per task on a 4-core box with Python 3.11.7. Called from
+    the search UDF, so it runs only in Spark's Python workers. A no-op where
+    ``zipimporter`` is already lazy."""
+    if hasattr(zipimport.zipimporter, "_get_files"):
+        return
+    sys.path_hooks[:] = [
+        _LazyZipImporter if hook is zipimport.zipimporter else hook for hook in sys.path_hooks
+    ]
+    for finder in sys.path_importer_cache.values():
+        if type(finder) is zipimport.zipimporter:
+            # In place, so the modules it loaded (their ``__loader__``) read
+            # the shared directory too and are never served a stale one.
+            finder.__class__ = _LazyZipImporter
 
 
 def _decoded(pdf: pd.DataFrame) -> Iterator[tuple[int, int, np.ndarray]]:
@@ -62,6 +116,7 @@ def pairwise_search_df(
     bp = spark.sparkContext.broadcast(policy)
 
     def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+        _lazy_zip_imports()
         for pdf in batches:
             rows = search_rows(
                 algorithm, distance, bq.value, _decoded(pdf), policy=bp.value, **params

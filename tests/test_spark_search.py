@@ -1,12 +1,21 @@
 """Distributed search: Spark path ≡ driver path; relational steps (top-K,
 exploded points) oracle-checked against DuckDB SQL; plan shapes (trajectory
-frames are local relations, no shuffle below the search UDF)."""
+frames are local relations, no shuffle below the search UDF); the search
+workers' lazy zip-import invalidation."""
 from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import textwrap
+import zipimport
+from pathlib import Path
 
 import numpy as np
 import pandas as pd
 import pytest
 
+import repro
 from repro.eval.table2 import DEFAULT_ALGORITHMS, DEFAULT_DISTANCES, train_policies
 from repro.search.api import supports
 from repro.search.distributed import pairwise_search_df, topk_df
@@ -191,3 +200,73 @@ def test_explode_points_matches_duckdb(spark, tiny_df):
         pts=pdf,
     )
     assert (pdf.groupby("traj_id")["seq"].min() == 0).all()
+
+
+def _run_isolated(script: str, tmp_path: Path) -> None:
+    """Run ``script`` in a fresh interpreter, so this process's import state
+    is untouched; it gets a scratch zip path as ``sys.argv[1]``."""
+    src = str(Path(repro.__file__).parents[1])
+    subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script), str(tmp_path / "mods.zip")],
+        check=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
+    )
+
+
+def test_lazy_zip_imports_defers_and_refreshes_the_directory(tmp_path):
+    """After the hook, ``invalidate_caches`` reads no archive, and the next
+    access re-reads it: a module added to the archive imports, and an
+    already-imported module's loader serves its rewritten source."""
+    _run_isolated("""
+        import importlib, sys, zipfile, zipimport
+
+        def write(files):
+            with zipfile.ZipFile(sys.argv[1], "w") as z:
+                for name, text in files.items():
+                    z.writestr(name, text)
+
+        write({"a.py": "X = 1\\n"})
+        sys.path.insert(0, sys.argv[1])
+        import a
+        from repro.search.distributed import _lazy_zip_imports
+        _lazy_zip_imports()
+        _lazy_zip_imports()
+        assert sys.path_hooks.count(type(a.__loader__)) == 1
+        assert a.__loader__ is sys.path_importer_cache[sys.argv[1]]
+
+        reads, read = [], zipimport._read_directory
+        zipimport._read_directory = lambda path: reads.append(path) or read(path)
+        importlib.invalidate_caches()
+        assert reads == [], reads
+
+        write({"a.py": "X = 2  # rewritten\\n", "b.py": "Y = 3\\n"})
+        importlib.invalidate_caches()
+        import b
+        assert b.Y == 3
+        assert a.__loader__.get_source("a") == "X = 2  # rewritten\\n"
+        assert reads == [sys.argv[1]], reads
+    """, tmp_path)
+
+
+def test_lazy_zip_imports_is_a_noop_where_zipimporter_is_lazy(tmp_path):
+    _run_isolated("""
+        import importlib.util, sys, zipfile, zipimport
+
+        zipfile.ZipFile(sys.argv[1], "w").close()
+        sys.path.insert(0, sys.argv[1])
+        importlib.util.find_spec("absent")
+        zipimport.zipimporter._get_files = lambda self: {}
+        hooks, finders = list(sys.path_hooks), dict(sys.path_importer_cache)
+        from repro.search.distributed import _lazy_zip_imports
+        _lazy_zip_imports()
+        assert sys.path_hooks == hooks
+        assert type(sys.path_importer_cache[sys.argv[1]]) is zipimport.zipimporter
+        assert all(sys.path_importer_cache[p] is f for p, f in finders.items())
+    """, tmp_path)
+
+
+def test_search_leaves_the_calling_process_import_hooks_alone(spark, tiny, tiny_df):
+    """The hook is installed by the search UDF, in Spark's Python workers."""
+    queries, _ = tiny
+    hooks = list(sys.path_hooks)
+    assert pairwise_search_df(spark, queries, tiny_df, "CMA", "DTW").count() > 0
+    assert sys.path_hooks == hooks and zipimport.zipimporter in hooks
