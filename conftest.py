@@ -58,9 +58,9 @@ def spark() -> SparkSession:
     Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
     pre-JVM-launch). Per-session configs that *are* honoured post-launch
     (shuffle partitions, Arrow, broadcast threshold) are set here.
-    Broadcast joins are disabled so papers about shuffle/join algorithms
-    actually exercise the shuffle path at SF~=0.1; a reproduction that
-    wants a broadcast join sets the threshold back for that query.
+    Automatic broadcast joins are disabled, so only the explicit
+    ``F.broadcast`` hints in ``src/`` broadcast: the plan-shape tests
+    count exactly those exchanges.
     """
     s = (
         SparkSession.builder.appName("repro")

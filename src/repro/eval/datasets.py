@@ -1,9 +1,9 @@
 """Dataset profiles for the reproduction experiments.
 
-``test`` profiles keep the suite fast (SF≈0.01-style); ``bench`` profiles
-are the scaled stand-ins for the paper's Porto / Xi'an / Beijing setups
-(SF≈0.1-style). Counts and lengths are scaled per DESIGN.md §4; the
-*relative* ordering across cities (lengths ↑, counts ↓) mirrors the paper.
+``test`` profiles keep the suite fast; ``bench`` profiles are the scaled
+stand-ins for the paper's Porto / Xi'an / Beijing setups. Counts and
+lengths are scaled per DESIGN.md §4; the *relative* ordering across cities
+(lengths ↑, counts ↓) mirrors the paper.
 """
 from __future__ import annotations
 
@@ -31,8 +31,9 @@ class Profile:
     #: GBP grid side (km) and close-ratio threshold (App. C defaults scaled).
     gbp_eps: float = 1.0
     gbp_mu: float = 0.3
-    #: KPF sampling rate (paper default r = 0.05; higher at small scale).
-    kpf_r: float = 0.2
+    #: KPF key-point rate. The paper's r = 0.05 relies on Eq. 28's m/|K|
+    #: scaling, which is not a bound; the unscaled bound prunes at r = 1.
+    kpf_r: float = 1.0
     seed: int = 0
 
 

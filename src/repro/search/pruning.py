@@ -4,8 +4,8 @@ GBP is a pure Catalyst dataflow with a numpy twin used by the sequential
 pipeline and the DuckDB oracle tests: the small query-cell table is
 broadcast as the grid inverted index, so the data points are joined to it
 where they lie and only the per-pair ``close`` counts are shuffled. KPF is
-computed on the driver with numpy: per-pair lower-bound estimates
-(Theorem B.1) that price the key points with the search's own cost model
+computed on the driver with numpy: per-pair lower bounds (Theorem B.1)
+that price the key points with the search's own cost model
 (``search.api.build_pair_costs``), applied by ``kpf_survivors``, a
 two-phase form of the paper's sequential best-so-far loop that both
 Table 3 backends share.
@@ -118,24 +118,22 @@ def key_point_indices(m: int, r: float) -> np.ndarray:
 
 
 def kpf_bound(q: np.ndarray, d: np.ndarray, distance: str, *, r: float, **params) -> float:
-    """Estimated lower bound of ``min_j C_{m,j}`` (Theorem B.1 + Eq. 28).
+    """Lower bound of ``min_j C_{m,j}`` (Theorem B.1) from the key points.
 
-    Key points are priced by the search's own cost model (``params`` as for
-    ``build_pair_costs``): ``min(del, min_j sub)`` for the WED family, else
-    ``min_j sub``. Sum-type distances (WED family, DTW) scale the sampled
-    sum by m/|K|; FD is a max-type distance, so the bound is the max over
-    key points (still a valid lower bound, no scaling).
+    Each key point is priced by the search's own cost model (``params`` as
+    for ``build_pair_costs``): ``min(del, min_j sub)`` for the WED family,
+    else ``min_j sub``. Every query point costs at least its price in any
+    alignment, so the max (FD) or the sum (the other kinds) over any subset
+    of points bounds the optimum: the bound holds at every rate ``r`` and is
+    tightest at ``r = 1``.
     """
-    idx = key_point_indices(len(q), r)
     kind = kernel_kind(distance)
-    costs = build_pair_costs(distance, q[idx], d, **params)
+    costs = build_pair_costs(distance, q[key_point_indices(len(q), r)], d, **params)
     if kind == "wed":
         per_point = np.minimum(costs.delete, costs.sub.min(axis=1))
     else:
         per_point = costs.min(axis=1)
-    if kind == "fd":
-        return float(per_point.max())
-    return float(per_point.sum() * len(q) / len(idx))
+    return float(per_point.max() if kind == "fd" else per_point.sum())
 
 
 def kpf_survivors(

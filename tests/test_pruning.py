@@ -1,6 +1,6 @@
 """Pruning substrates: GBP (Spark ≡ numpy ≡ DuckDB SQL), KPF bounds
-(Theorem B.1: never above the true optimum), the KPF survivor filter, and
-KPF against the OSF-like envelope bound (App. C)."""
+(Theorem B.1: never above the true optimum, at any key-point rate), the KPF
+survivor filter, and KPF against the OSF-like envelope bound (App. C)."""
 from __future__ import annotations
 
 import numpy as np
@@ -115,13 +115,10 @@ def test_key_point_indices_sampling():
     assert key_point_indices(6, 0.5).tolist() == [0, 2, 4]
 
 
-@pytest.mark.parametrize(
-    "distance", ["DTW", "ERP", "EDR", "FD", "WED", "NetERP", "NetEDR", "SURS"]
-)
-@pytest.mark.parametrize("seed", range(8))
-def test_kpf_bound_below_true_optimum_at_full_rate(distance, seed):
-    """Theorem B.1: at r = 1 the bound is a true lower bound of min_j C_{m,j},
-    for every distance function, when it prices points as the search does."""
+ALL_DISTANCES = ["DTW", "ERP", "EDR", "FD", "WED", "NetERP", "NetEDR", "SURS"]
+
+
+def _kpf_bound_and_optimum(distance: str, seed: int, r: float) -> tuple[float, float]:
     rng = np.random.default_rng(seed)
     if distance in ("NetERP", "NetEDR", "SURS"):
         q, d = random_walk(NET, 6, rng), random_walk(NET, 15, rng)
@@ -132,9 +129,28 @@ def test_kpf_bound_below_true_optimum_at_full_rate(distance, seed):
         q = np.cumsum(rng.normal(0, 0.5, (6, 2)), axis=0)
         d = np.cumsum(rng.normal(0, 0.5, (15, 2)), axis=0)
         params = {"eps": 0.5}
-    bound = kpf_bound(q, d, distance, r=1.0, **params)
+    bound = kpf_bound(q, d, distance, r=r, **params)
     opt = cma(kernel_kind(distance), build_pair_costs(distance, q, d, **params))[0]
+    return bound, opt
+
+
+@pytest.mark.parametrize("distance", ALL_DISTANCES)
+@pytest.mark.parametrize("seed", range(8))
+def test_kpf_bound_below_true_optimum_at_full_rate(distance, seed):
+    """Theorem B.1: at r = 1 the bound is a true lower bound of min_j C_{m,j},
+    for every distance function, when it prices points as the search does."""
+    bound, opt = _kpf_bound_and_optimum(distance, seed, r=1.0)
     assert bound <= opt + 1e-9
+
+
+@pytest.mark.parametrize("r", [0.05, 0.2, 0.5])
+@pytest.mark.parametrize("distance", ALL_DISTANCES)
+def test_kpf_bound_below_true_optimum_below_full_rate(distance, r):
+    """Key points are a subset of the query, so their unscaled sum (or max)
+    stays a lower bound at every rate; an m/|K| extrapolation would not."""
+    for seed in range(8):
+        bound, opt = _kpf_bound_and_optimum(distance, seed, r=r)
+        assert bound <= opt + 1e-9, (seed, bound, opt)
 
 
 @pytest.mark.parametrize("distance", ["DTW", "ERP", "EDR", "FD"])

@@ -1,14 +1,19 @@
 """Table harnesses at test scale: structure, exactness rows, orderings."""
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pandas as pd
 import pytest
 
-from repro.eval.table2 import format_table2, run_table2
+from repro.eval.datasets import PROFILES, load_profile
+from repro.eval.table2 import city_params, format_table2, run_table2
 from repro.eval import table3
 from repro.eval.table3 import format_table3, run_table3
 from repro.eval.table4 import format_table4, run_table4
+from repro.search.local import pairwise_results, topk
+from repro.search.pruning import kpf_survivors
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +113,45 @@ def test_table3_runs_gbp_once_per_profile(monkeypatch):
     assert len(calls) == 1
     assert df.pruned_pairs.tolist() == [21, 21]
     assert df.searched_pairs.tolist() == [3, 3]
+
+
+def _pruned_top1_misses(spark, monkeypatch, profile_name, seeds) -> list:
+    """(seed, distance, query_id) cases where Table 3's pipeline (GBP → KPF
+    → search → top-1, on the backend ``spark`` picks) misses the unpruned
+    top-1 distance; each seed regenerates the profile's data and queries."""
+    misses = []
+    for seed in seeds:
+        monkeypatch.setitem(
+            PROFILES, profile_name, replace(PROFILES[profile_name], seed=seed)
+        )
+        profile, queries, data = load_profile(profile_name)
+        backend = table3._backend(spark, queries, data)
+        try:
+            gbp = backend.gbp(profile.gbp_eps, profile.gbp_mu)
+            for distance in ("DTW", "EDR", "ERP", "FD"):
+                params = city_params(profile.city, distance, bbox_scale=profile.bbox_scale)
+                kept = kpf_survivors(queries, data, gbp, distance, params, profile.kpf_r)
+                got = backend.top1("CMA", distance, backend.prepare(kept), **params)
+                got = {r["query_id"]: r["dist"] for r in got}
+                for r in topk(pairwise_results("CMA", distance, queries, data, **params), 1):
+                    if not np.isclose(got.get(r["query_id"], np.inf), r["dist"], rtol=1e-9):
+                        misses.append((seed, distance, r["query_id"]))
+        finally:
+            backend.close()
+    return misses
+
+
+@pytest.mark.parametrize("profile_name", ["porto-test", "xian-test"])
+def test_pruned_top1_is_exact_on_driver(monkeypatch, profile_name):
+    """KPF is a true lower bound (Theorem B.1), so pruning never drops a
+    query's optimum: the pruned top-1 equals the unpruned one at every seed."""
+    assert _pruned_top1_misses(None, monkeypatch, profile_name, range(40)) == []
+
+
+def test_pruned_top1_is_exact_on_spark(spark, monkeypatch):
+    """The Spark pipeline at porto-test's own seed, where an m/|K|-scaled
+    KPF pruned the optimum."""
+    assert _pruned_top1_misses(spark, monkeypatch, "porto-test", (1,)) == []
 
 
 def test_table4_static_summary():
