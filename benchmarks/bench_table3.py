@@ -1,7 +1,7 @@
 """Benchmark for Table 3 (efficiency pipeline).
 
-Times the stages of the Table 3 pipeline on bench-scale data: the GBP
-Catalyst dataflow, the KPF bound computation, and the distributed
+Times the stages of the Table 3 pipeline on bench-scale data: GBP's
+grid kernel on Spark, the KPF bound computation, and the distributed
 mapInPandas search per algorithm (CMA vs ExactS is the paper's headline
 ratio), unpruned and over the GBP → KPF survivors. The full table is
 produced by ``jobs/table3.py``; paper vs measured numbers live in

@@ -3,7 +3,7 @@
 Usage: spark-submit jobs/table3.py  (or plain ``python jobs/table3.py``,
 which creates its own local session).
 
-Full pipeline per (dataset, distance): GBP grid pruning (Catalyst) → KPF
+Full pipeline per (dataset, distance): GBP grid pruning (mapInPandas) → KPF
 lower-bound pruning → per-algorithm search via mapInPandas → top-1 window
 query. Projected-over-budget ExactS cells report ``overtime`` (the paper's
 Beijing rows). Writes ``results/table3.csv``.

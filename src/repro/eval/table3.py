@@ -9,11 +9,11 @@ Pipeline per (dataset, distance), mirroring the paper's Algorithm 3:
 3. **Search** (timed per algorithm): the per-pair kernel over the surviving
    pairs, then the top-1 per query.
 
-The backend is picked once per profile: with a SparkSession GBP is a
-Catalyst dataflow and the search runs in ``mapInPandas``; without one their
-driver twins run. ExactS cells whose *projected* cost (sampled per-pair
-time × pairs ÷ parallelism) exceeds ``overtime_s`` are reported as
-``overtime`` — the paper reports exactly that for ExactS on Beijing.
+The backend is picked once per profile: with a SparkSession GBP's grid
+kernel and the search run in ``mapInPandas`` tasks, else on the driver.
+ExactS cells whose *projected* cost (sampled per-pair time × pairs ÷
+parallelism) exceeds ``overtime_s`` are reported as ``overtime`` — the
+paper reports exactly that for ExactS on Beijing.
 """
 from __future__ import annotations
 
@@ -41,14 +41,14 @@ from repro.synth_data import explode_points, trajectories_df
 
 class _Backend(NamedTuple):
     gbp: Callable  # (eps, mu) → surviving (query_id, traj_id) pairs
-    prepare: Callable  # pairs → top1's input, built outside the timed region
+    prepare: Callable  # pairs → top1's input (Spark: pandas-built, no Python RDD), untimed
     top1: Callable  # (algorithm, distance, prepared, **params) → top-1 per query
     parallelism: int
     close: Callable
 
 
 def _backend(spark: SparkSession | None, queries, data) -> _Backend:
-    """Spark dataflows when ``spark`` is given, else their driver twins."""
+    """Spark jobs when ``spark`` is given, else the driver pipeline."""
     if spark is None:
         return _Backend(
             gbp=lambda eps, mu: gbp_candidates_local(queries, data, eps, mu),
@@ -65,15 +65,13 @@ def _backend(spark: SparkSession | None, queries, data) -> _Backend:
         "traj_id", "query_id"
     )
     dpts = explode_points(data_df)
-
-    def gbp(eps: float, mu: float) -> set[tuple[int, int]]:
-        got = gbp_candidates_df(spark, qpts, dpts, eps, mu).collect()
-        return {(int(r.query_id), int(r.traj_id)) for r in got}
-
     return _Backend(
-        gbp=gbp,
+        gbp=lambda eps, mu: {
+            (int(q), int(t)) for q, t in gbp_candidates_df(spark, qpts, dpts, eps, mu).collect()
+        },
         prepare=lambda pairs: spark.createDataFrame(
-            sorted(pairs), "query_id long, traj_id long"
+            pd.DataFrame(sorted(pairs), columns=["query_id", "traj_id"], dtype="int64"),
+            "query_id long, traj_id long",
         ),
         top1=lambda alg, dist, pairs, **kw: topk_df(
             pairwise_search_df(spark, queries, data_df, alg, dist, pairs_df=pairs, **kw), 1

@@ -7,16 +7,14 @@ its batch of (query, trajectory) rows, and Arrow casts the rows to
 built on the cached data partitions without a shuffle: the pruning
 survivors are broadcast-joined to the trajectories, or, unpruned, each
 trajectory row is exploded over every query id. The final top-K per query
-is a Catalyst window query (oracle-checked against DuckDB in tests).
-
-Each task first makes its worker's zip-import cache invalidation lazy
-(:func:`_lazy_zip_imports`).
+is a Catalyst window query (oracle-checked against DuckDB in tests). Each
+task, here and in GBP's grid lookup, starts in :func:`map_in_pandas`.
 """
 from __future__ import annotations
 
 import sys
 import zipimport
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 import pandas as pd
@@ -61,9 +59,9 @@ def _lazy_zip_imports() -> None:
     PySpark's Python worker calls ``importlib.invalidate_caches()`` at the
     start of every task; with the eager 3.11/3.12 ``zipimporter`` that re-reads
     the directory of every archive finder (``pyspark.zip``, py4j, the Spark
-    jar): 128–225 ms per task on a 4-core box with Python 3.11.7. Called from
-    the search UDF, so it runs only in Spark's Python workers. A no-op where
-    ``zipimporter`` is already lazy."""
+    jar): 128–225 ms per task on a 4-core box with Python 3.11.7. Called by
+    :func:`map_in_pandas`, so it runs only in Spark's Python workers. A no-op
+    where ``zipimporter`` is already lazy."""
     if hasattr(zipimport.zipimporter, "_get_files"):
         return
     sys.path_hooks[:] = [
@@ -74,6 +72,19 @@ def _lazy_zip_imports() -> None:
             # In place, so the modules it loaded (their ``__loader__``) read
             # the shared directory too and are never served a stale one.
             finder.__class__ = _LazyZipImporter
+
+
+def map_in_pandas(df: DataFrame, fn: Callable, schema: str, *shared) -> DataFrame:
+    """``df.mapInPandas`` of ``fn(batch, *shared)`` per Arrow batch, with
+    ``shared`` broadcast once; each task first calls :func:`_lazy_zip_imports`.
+    The only ``mapInPandas`` in ``src/`` (``tests/test_layout.py``)."""
+    values = df.sparkSession.sparkContext.broadcast(shared)
+
+    def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+        _lazy_zip_imports()
+        return (fn(pdf, *values.value) for pdf in batches)
+
+    return df.mapInPandas(run, schema)
 
 
 def _decoded(pdf: pd.DataFrame) -> Iterator[tuple[int, int, np.ndarray]]:
@@ -110,20 +121,12 @@ def pairwise_search_df(
     else:
         work = data_df.join(F.broadcast(pairs_df), "traj_id")
 
-    bq = spark.sparkContext.broadcast(
-        [np.asarray(q, dtype=np.float64) for q in queries]
-    )
-    bp = spark.sparkContext.broadcast(policy)
+    def search(pdf: pd.DataFrame, queries: list, policy: RLSPolicy | None) -> pd.DataFrame:
+        rows = search_rows(algorithm, distance, queries, _decoded(pdf), policy=policy, **params)
+        return pd.DataFrame(rows, columns=COLUMNS)
 
-    def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        _lazy_zip_imports()
-        for pdf in batches:
-            rows = search_rows(
-                algorithm, distance, bq.value, _decoded(pdf), policy=bp.value, **params
-            )
-            yield pd.DataFrame(rows, columns=COLUMNS)
-
-    return work.mapInPandas(run, PAIR_SCHEMA)
+    queries = [np.asarray(q, dtype=np.float64) for q in queries]
+    return map_in_pandas(work, search, PAIR_SCHEMA, queries, policy)
 
 
 def topk_df(pair_df: DataFrame, k: int = 1) -> DataFrame:

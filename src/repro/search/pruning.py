@@ -1,9 +1,8 @@
 """Pruning substrates: GBP and KPF (paper Appendix B).
 
-GBP is a pure Catalyst dataflow with a numpy twin used by the sequential
-pipeline and the DuckDB oracle tests: the small query-cell table is
-broadcast as the grid inverted index, so the data points are joined to it
-where they lie and only the per-pair ``close`` counts are shuffled. KPF is
+GBP is one numpy kernel for both backends: :func:`gbp_index` indexes the
+query points' grid cells and :func:`gbp_hits` looks data points up in it,
+over all data on the driver or per Arrow batch in Spark tasks. KPF is
 computed on the driver with numpy: per-pair lower bounds (Theorem B.1)
 that price the key points with the search's own cost model
 (``search.api.build_pair_costs``), applied by ``kpf_survivors``, a
@@ -13,12 +12,15 @@ Table 3 backends share.
 from __future__ import annotations
 
 import numpy as np
+import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from repro.search.api import build_pair_costs, kernel_kind, search_pair
+from repro.search.distributed import map_in_pandas
 
 # --------------------------------------------------------------------- GBP
+
+_NEIGHBOURS = np.array([(ox, oy) for ox in (-1, 0, 1) for oy in (-1, 0, 1)])
 
 
 def grid_cells(pts: np.ndarray, eps: float) -> np.ndarray:
@@ -26,28 +28,58 @@ def grid_cells(pts: np.ndarray, eps: float) -> np.ndarray:
     return np.floor(np.asarray(pts, dtype=np.float64) / eps).astype(np.int64)
 
 
-def gbp_close_count(q: np.ndarray, d: np.ndarray, eps: float) -> int:
-    """``close(τq, τd)``: #query points lying in the 3×3 neighbourhood of
-    some data-point cell (Eq. 26–27), numpy twin of the Spark dataflow."""
-    dcells = {tuple(c) for c in grid_cells(d, eps)}
-    qcells = grid_cells(q, eps)
-    count = 0
-    for cx, cy in qcells:
-        if any((cx + ox, cy + oy) in dcells for ox in (-1, 0, 1) for oy in (-1, 0, 1)):
-            count += 1
-    return count
+def _cell_keys(cells: np.ndarray) -> np.ndarray:
+    """Each (cx, cy) row as one int64-pair key, ordered field by field."""
+    return np.ascontiguousarray(cells, dtype=np.int64).view("i8,i8")[:, 0]
+
+
+def gbp_index(query_points: pd.DataFrame, eps: float) -> tuple[np.ndarray, ...]:
+    """Grid inverted index of ``query_points`` (query_id, seq, x, y) at cell
+    side ε (App. B): the sorted keys of each point's 3×3 neighbour cells,
+    and per key the point's query_id and seq."""
+    cells = grid_cells(query_points[["x", "y"]], eps)[:, None] + _NEIGHBOURS
+    keys = _cell_keys(cells.reshape(-1, 2))
+    order = np.argsort(keys)
+    point = order // len(_NEIGHBOURS)
+    return keys[order], *(query_points[c].to_numpy()[point] for c in ("query_id", "seq"))
+
+
+def gbp_hits(index: tuple[np.ndarray, ...], traj_ids, points, eps: float) -> pd.DataFrame:
+    """Distinct ``(query_id, traj_id, seq)`` hits: point ``seq`` of query
+    ``query_id`` has a point of ``traj_id`` in its 3×3 cell neighbourhood
+    (Eq. 26). Each distinct (traj_id, cell) pair is looked up once."""
+    keys, qid, seq = index
+    tc = np.unique(np.column_stack([traj_ids, grid_cells(points, eps)]), axis=0)
+    first = np.searchsorted(keys, _cell_keys(tc[:, 1:]), "left")
+    n = np.searchsorted(keys, _cell_keys(tc[:, 1:]), "right") - first
+    # The n[i] index entries of key i are first[i], first[i] + 1, …
+    rows = np.repeat(first - np.cumsum(n) + n, n) + np.arange(n.sum())
+    hits = {"query_id": qid[rows], "traj_id": np.repeat(tc[:, 0], n), "seq": seq[rows]}
+    return pd.DataFrame(hits).drop_duplicates(ignore_index=True)
+
+
+def _gbp_survivors(hits: pd.DataFrame, query_points: pd.DataFrame, mu: float) -> pd.DataFrame:
+    """Pairs whose ``close``, their number of distinct hits, is ≥ μ·m (Eq. 27)."""
+    close = hits.drop_duplicates().groupby(["query_id", "traj_id"]).size().reset_index()
+    m = close["query_id"].map(query_points.groupby("query_id").size())
+    return close.loc[close[0] >= mu * m, ["query_id", "traj_id"]]
+
+
+def _points_frame(trajs: list[np.ndarray], id_col: str) -> pd.DataFrame:
+    """``(id_col, seq, x, y)`` of every point, the rows ``explode_points`` gives."""
+    xy = np.concatenate([np.empty((0, 2)), *trajs])
+    ids = np.repeat(np.arange(len(trajs)), [len(t) for t in trajs])
+    seq = np.arange(len(ids)) - np.searchsorted(ids, ids)
+    return pd.DataFrame({id_col: ids, "seq": seq, "x": xy[:, 0], "y": xy[:, 1]})
 
 
 def gbp_candidates_local(
     queries: list[np.ndarray], data: list[np.ndarray], eps: float, mu: float
 ) -> set[tuple[int, int]]:
     """Surviving (query_id, traj_id) pairs: ``close ≥ μ·m``."""
-    out = set()
-    for qid, q in enumerate(queries):
-        for tid, d in enumerate(data):
-            if gbp_close_count(q, d, eps) >= mu * len(q):
-                out.add((qid, tid))
-    return out
+    qpts, dpts = _points_frame(queries, "query_id"), _points_frame(data, "traj_id")
+    hits = gbp_hits(gbp_index(qpts, eps), dpts["traj_id"], dpts[["x", "y"]], eps)
+    return set(_gbp_survivors(hits, qpts, mu).itertuples(index=False, name=None))
 
 
 def gbp_candidates_df(
@@ -57,54 +89,21 @@ def gbp_candidates_df(
     eps: float,
     mu: float,
 ) -> DataFrame:
-    """GBP as a Catalyst dataflow → ``(query_id, traj_id)`` survivors.
+    """GBP on Spark → a local ``(query_id long, traj_id long)`` frame.
 
-    ``query_points``: (query_id, seq, x, y); ``data_points``:
-    (traj_id, seq, x, y). Query cells are expanded to their 3×3
-    neighbourhood (explode of the offset array) — already distinct, as each
-    (query, seq) has one cell — and broadcast as the inverted grid index
-    that every data point's cell equality-joins in place, with no shuffle;
-    ``close`` is ``count(distinct query seq)`` per pair, filtered at
-    ``μ·m`` against the broadcast query lengths.
+    ``query_points`` is (query_id, seq, x, y), ``data_points`` (traj_id, seq,
+    x, y). One trajectory may span Arrow batches, so the driver drops
+    duplicate hits from the tasks before it applies ``close ≥ μ·m``.
     """
-    offs = F.array(
-        *[
-            F.struct(F.lit(ox).alias("ox"), F.lit(oy).alias("oy"))
-            for ox in (-1, 0, 1)
-            for oy in (-1, 0, 1)
-        ]
+    qpts = query_points.select("query_id", "seq", "x", "y").toPandas()
+    hits = map_in_pandas(
+        data_points.select("traj_id", "x", "y"),
+        lambda pdf, index: gbp_hits(index, pdf["traj_id"], pdf[["x", "y"]], eps),
+        "query_id long, traj_id long, seq long",
+        gbp_index(qpts, eps),
     )
-    qcells = (
-        query_points.select(
-            "query_id",
-            "seq",
-            F.floor(F.col("x") / eps).alias("cx"),
-            F.floor(F.col("y") / eps).alias("cy"),
-        )
-        .withColumn("off", F.explode(offs))
-        .select(
-            "query_id",
-            "seq",
-            (F.col("cx") + F.col("off.ox")).alias("cx"),
-            (F.col("cy") + F.col("off.oy")).alias("cy"),
-        )
-    )
-    dcells = data_points.select(
-        "traj_id",
-        F.floor(F.col("x") / eps).alias("cx"),
-        F.floor(F.col("y") / eps).alias("cy"),
-    )
-    close = (
-        dcells.join(F.broadcast(qcells), ["cx", "cy"])
-        .groupBy("query_id", "traj_id")
-        .agg(F.countDistinct("seq").alias("close"))
-    )
-    qlen = query_points.groupBy("query_id").agg(F.count("*").alias("m"))
-    return (
-        close.join(F.broadcast(qlen), "query_id")
-        .filter(F.col("close") >= mu * F.col("m"))
-        .select("query_id", "traj_id")
-    )
+    kept = _gbp_survivors(hits.toPandas(), qpts, mu)
+    return spark.createDataFrame(kept, "query_id long, traj_id long")
 
 
 # --------------------------------------------------------------------- KPF

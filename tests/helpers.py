@@ -1,6 +1,6 @@
 """Shared test utilities: tiny trajectory and road-network walk factories,
-an O(mn³) brute-force reference and the OSF-like envelope bound KPF is
-compared with.
+an O(mn³) brute-force reference, GBP's brute-force ``close`` count and the
+OSF-like envelope bound KPF is compared with.
 
 The reference is *independent* of ``src/``: it scores every window with
 the textbook memoised recursions below (Eq. 2, Eq. 3 and discrete Fréchet
@@ -17,6 +17,7 @@ import pytest
 
 from repro.core.full_dp import full_lastrow
 from repro.roadnet.graph import RoadNetwork
+from repro.search.pruning import grid_cells
 
 #: (m, n) shapes that stress the DP boundary rows: single points and n < m.
 EDGE_SHAPES = [
@@ -186,3 +187,15 @@ def osf_bound(
     if distance == "FD":
         return float(per_point.max())
     return float(per_point.sum())
+
+
+def gbp_close_count(q: np.ndarray, d: np.ndarray, eps: float) -> int:
+    """``close(τq, τd)`` by per-point set lookups: the number of query points
+    whose 3×3 cell neighbourhood holds a cell of some data point (Eq. 26–27).
+    The brute-force oracle of the GBP kernel."""
+    dcells = {tuple(c) for c in grid_cells(d, eps)}
+    count = 0
+    for cx, cy in grid_cells(q, eps):
+        if any((cx + ox, cy + oy) in dcells for ox in (-1, 0, 1) for oy in (-1, 0, 1)):
+            count += 1
+    return count

@@ -1,5 +1,6 @@
-"""Layout guard: no public function or method in ``src/`` exists only for
-the tests (ROADMAP aim 2).
+"""Layout guards: no public function or method in ``src/`` exists only for
+the tests (ROADMAP aim 2), and every Spark Python task in ``src/`` starts in
+one launcher.
 
 A definition counts as used when a module under ``src/``, ``jobs/``,
 ``benchmarks/`` or ``perfbench/`` refers to its name: as a bare name, an
@@ -48,3 +49,20 @@ def test_no_src_function_is_called_only_from_tests():
         and node.name not in real
     )
     assert test_only == [], f"defined in src/ but called only from tests/: {test_only}"
+
+
+def test_only_the_launcher_calls_map_in_pandas():
+    """``search.distributed.map_in_pandas`` makes each task's zip-import
+    invalidation lazy before it runs; a ``mapInPandas`` anywhere else would
+    re-read every zip archive directory at the start of each task."""
+    sites = []
+    for path, tree in _trees("src"):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "mapInPandas":
+                fn = next(
+                    (f.name for f in tree.body if isinstance(f, ast.FunctionDef)
+                     and f.lineno <= node.lineno <= f.end_lineno),
+                    "<module>",
+                )
+                sites.append(f"{path.relative_to(ROOT)}::{fn}")
+    assert sites == ["src/repro/search/distributed.py::map_in_pandas"]

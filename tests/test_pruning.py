@@ -1,4 +1,4 @@
-"""Pruning substrates: GBP (Spark ≡ numpy ≡ DuckDB SQL), KPF bounds
+"""Pruning substrates: GBP (Spark ≡ driver ≡ brute force ≡ DuckDB SQL), KPF bounds
 (Theorem B.1: never above the true optimum, at any key-point rate), the KPF
 survivor filter, and KPF against the OSF-like envelope bound (App. C)."""
 from __future__ import annotations
@@ -6,6 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pytest
+from pyspark.sql import functions as F
 
 from repro.core import costs as C
 from repro.core.cma import cma
@@ -16,14 +17,13 @@ from repro.search.local import pairwise_results, topk
 from repro.search.pruning import (
     gbp_candidates_df,
     gbp_candidates_local,
-    gbp_close_count,
     grid_cells,
     key_point_indices,
     kpf_bound,
     kpf_survivors,
 )
 from repro.synth_data import explode_points, make_queries, taxi_trajectories, trajectories_df
-from tests.helpers import osf_bound, random_walk, walk_edges
+from tests.helpers import gbp_close_count, osf_bound, random_walk, walk_edges
 from tests.oracle import assert_equivalent
 
 EPS = 0.8
@@ -52,25 +52,25 @@ def test_gbp_close_count_manual():
     assert gbp_close_count(q, d, EPS) == 1
 
 
-@pytest.mark.parametrize("mu", [0.2, 0.5, 0.9])
-def test_gbp_spark_equals_local(spark, sets, mu):
-    queries, data = sets
+def _point_frames(spark, queries, data):
     qpts = explode_points(trajectories_df(spark, queries)).withColumnRenamed(
         "traj_id", "query_id"
     )
-    dpts = explode_points(trajectories_df(spark, data))
-    got = gbp_candidates_df(spark, qpts, dpts, EPS, mu).toPandas()
+    return qpts, explode_points(trajectories_df(spark, data))
+
+
+@pytest.mark.parametrize("mu", [0.2, 0.5, 0.9])
+def test_gbp_spark_equals_local(spark, sets, mu):
+    queries, data = sets
+    got = gbp_candidates_df(spark, *_point_frames(spark, queries, data), EPS, mu).toPandas()
     got_set = set(zip(got.query_id, got.traj_id))
     assert got_set == gbp_candidates_local(queries, data, EPS, mu)
 
 
 def test_gbp_spark_matches_duckdb_oracle(spark, sets):
-    """The inverted-grid-index dataflow vs the same query in DuckDB SQL."""
+    """The grid-index kernel on Spark vs the same query in DuckDB SQL."""
     queries, data = sets
-    qpts = explode_points(trajectories_df(spark, queries)).withColumnRenamed(
-        "traj_id", "query_id"
-    )
-    dpts = explode_points(trajectories_df(spark, data))
+    qpts, dpts = _point_frames(spark, queries, data)
     got = gbp_candidates_df(spark, qpts, dpts, EPS, mu := 0.4)
     assert_equivalent(
         got,
@@ -94,6 +94,71 @@ def test_gbp_spark_matches_duckdb_oracle(spark, sets):
         qpts=qpts,
         dpts=dpts,
     )
+
+
+def _brute_force_gbp(queries, data, eps, mu) -> set[tuple[int, int]]:
+    return {
+        (qid, tid)
+        for qid, q in enumerate(queries)
+        for tid, d in enumerate(data)
+        if gbp_close_count(q, d, eps) >= mu * len(q)
+    }
+
+
+def test_gbp_spark_exact_when_trajectories_span_batches(spark, sets):
+    """Each trajectory's points are spread over partitions and cut into
+    tiny Arrow batches, so its hits come from several tasks; the driver's
+    merge must still count each query point once per pair."""
+    queries, data = sets
+    qpts, dpts = _point_frames(spark, queries, data)
+    dpts = dpts.repartition(3, "seq")
+    parts = dpts.withColumn("part", F.spark_partition_id()).groupBy("traj_id")
+    assert parts.agg(F.countDistinct("part").alias("n")).agg(F.min("n")).first()[0] > 1
+    key = "spark.sql.execution.arrow.maxRecordsPerBatch"
+    old = spark.conf.get(key)
+    spark.conf.set(key, "5")
+    try:
+        for mu in (0.2, 0.5, 0.9):
+            got = gbp_candidates_df(spark, qpts, dpts, EPS, mu).collect()
+            assert {tuple(r) for r in got} == _brute_force_gbp(queries, data, EPS, mu)
+    finally:
+        spark.conf.set(key, old)
+
+
+#: One-point trajectories around cells a careless key packing would merge:
+#: (1, 0) with (0, 2³²) for ``(cx << 32) + cy`` and with (0, 1000) for
+#: ``1000·cx + cy``, plus negative cells on both sides of 0.
+CELL_QUERIES = [
+    np.array([[1.5, 0.5]]),
+    np.array([[-0.5, -0.5]]),
+    np.array([[-3.5, 2.0**32 + 0.5]]),
+]
+CELL_DATA = [
+    np.array([[0.5, 2.0**32 + 0.5]]),
+    np.array([[0.5, 1000.5]]),
+    np.array([[-1.5, -1.5]]),
+    np.array([[-2.5, 2.0**32 - 0.5]]),
+    np.array([[2.5, -0.5]]),
+    np.array([[-5.5, -3.5]]),
+]
+
+
+def test_gbp_cell_keys_neither_collide_nor_break_on_negative_cells(spark):
+    expected = _brute_force_gbp(CELL_QUERIES, CELL_DATA, 1.0, 1.0)
+    assert expected == {(0, 4), (1, 2), (2, 3)}
+    assert gbp_candidates_local(CELL_QUERIES, CELL_DATA, 1.0, 1.0) == expected
+    got = gbp_candidates_df(spark, *_point_frames(spark, CELL_QUERIES, CELL_DATA), 1.0, 1.0)
+    assert {tuple(r) for r in got.collect()} == expected
+
+
+@pytest.mark.parametrize("case", ["no_close_point", "no_data"])
+def test_gbp_empty_result_keeps_its_schema(spark, sets, case):
+    queries, data = sets
+    data = [d + 1e3 for d in data] if case == "no_close_point" else []
+    assert gbp_candidates_local(queries, data, EPS, 0.2) == set()
+    got = gbp_candidates_df(spark, *_point_frames(spark, queries, data), EPS, 0.2)
+    assert got.schema.simpleString() == "struct<query_id:bigint,traj_id:bigint>"
+    assert got.collect() == []
 
 
 def test_gbp_keeps_planted_match():

@@ -115,6 +115,26 @@ def test_table3_runs_gbp_once_per_profile(monkeypatch):
     assert df.searched_pairs.tolist() == [3, 3]
 
 
+@pytest.mark.parametrize("pairs", [set(), {(1, 7), (0, 3)}], ids=["empty", "two"])
+def test_table3_spark_survivor_frame(spark, pairs):
+    """The survivors reach the timed search as a frame built from pandas, a
+    local relation scanned in the JVM; an empty survivor set gives an empty
+    frame with the same schema, and the search over it answers nothing."""
+    profile, queries, data = load_profile("porto-test")
+    backend = table3._backend(spark, queries, data)
+    try:
+        prepared = backend.prepare(pairs)
+        assert prepared.schema.simpleString() == "struct<query_id:bigint,traj_id:bigint>"
+        assert [tuple(r) for r in prepared.collect()] == sorted(pairs)
+        if pairs:
+            assert "LocalTableScan" in prepared._jdf.queryExecution().executedPlan().toString()
+        params = city_params(profile.city, "DTW", bbox_scale=profile.bbox_scale)
+        top = backend.top1("CMA", "DTW", prepared, **params)
+        assert sorted((r["query_id"], r["traj_id"]) for r in top) == sorted(pairs)
+    finally:
+        backend.close()
+
+
 def _pruned_top1_misses(spark, monkeypatch, profile_name, seeds) -> list:
     """(seed, distance, query_id) cases where Table 3's pipeline (GBP → KPF
     → search → top-1, on the backend ``spark`` picks) misses the unpruned
