@@ -33,7 +33,7 @@ from repro.eval.table2 import (
     train_policies,
 )
 from repro.search.api import search_pair, supports
-from repro.search.distributed import pairwise_search_df, topk_df
+from repro.search.distributed import pairs_frame, pairwise_search_df, topk_df
 from repro.search.local import pairwise_results, topk
 from repro.search.pruning import gbp_candidates_df, gbp_candidates_local, kpf_survivors
 from repro.synth_data import explode_points, trajectories_df
@@ -41,7 +41,7 @@ from repro.synth_data import explode_points, trajectories_df
 
 class _Backend(NamedTuple):
     gbp: Callable  # (eps, mu) → surviving (query_id, traj_id) pairs
-    prepare: Callable  # pairs → top1's input (Spark: pandas-built, no Python RDD), untimed
+    prepare: Callable  # pairs → top1's input (Spark: Arrow-built, no Python RDD), untimed
     top1: Callable  # (algorithm, distance, prepared, **params) → top-1 per query
     parallelism: int
     close: Callable
@@ -69,9 +69,8 @@ def _backend(spark: SparkSession | None, queries, data) -> _Backend:
         gbp=lambda eps, mu: {
             (int(q), int(t)) for q, t in gbp_candidates_df(spark, qpts, dpts, eps, mu).collect()
         },
-        prepare=lambda pairs: spark.createDataFrame(
-            pd.DataFrame(sorted(pairs), columns=["query_id", "traj_id"], dtype="int64"),
-            "query_id long, traj_id long",
+        prepare=lambda pairs: pairs_frame(
+            spark, pd.DataFrame(sorted(pairs), columns=["query_id", "traj_id"], dtype="int64")
         ),
         top1=lambda alg, dist, pairs, **kw: topk_df(
             pairwise_search_df(spark, queries, data_df, alg, dist, pairs_df=pairs, **kw), 1

@@ -9,15 +9,17 @@ survivors are broadcast-joined to the trajectories, or, unpruned, each
 trajectory row is exploded over every query id. The final top-K per query
 is a Catalyst window query (oracle-checked against DuckDB in tests). Each
 task, here and in GBP's grid lookup, starts in :func:`map_in_pandas`.
+Spark's Python daemon makes zip-import invalidation lazy at start-up
+(``src/sitecustomize.py``, :mod:`repro.lazy_zip`), so every worker it forks,
+RDD and UDF workers too, skips re-reading the zip archives per task.
 """
 from __future__ import annotations
 
-import sys
-import zipimport
 from typing import Callable, Iterator
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 from pyspark.sql import DataFrame, SparkSession, Window
 from pyspark.sql import functions as F
 
@@ -25,63 +27,13 @@ from repro.baselines.rls import RLSPolicy
 from repro.search.local import COLUMNS, PAIR_SCHEMA, search_rows
 
 
-class _LazyZipImporter(zipimport.zipimporter):
-    """A ``zipimporter`` with Python 3.13's lazy ``invalidate_caches``: it
-    only drops the archive's directory, which the next access by any method
-    re-reads. Before 3.13 every method reads the directory as ``self._files``,
-    and ``invalidate_caches`` re-reads it at once."""
-
-    @property
-    def _files(self) -> dict:
-        try:
-            return zipimport._zip_directory_cache[self.archive]
-        except KeyError:
-            try:
-                files = zipimport._read_directory(self.archive)
-            except zipimport.ZipImportError:
-                return {}
-            zipimport._zip_directory_cache[self.archive] = files
-            return files
-
-    @_files.setter
-    def _files(self, files: dict) -> None:
-        # ``zipimporter.__init__`` assigns the directory it has just stored
-        # in ``_zip_directory_cache``, which the getter reads.
-        pass
-
-    def invalidate_caches(self) -> None:
-        zipimport._zip_directory_cache.pop(self.archive, None)
-
-
-def _lazy_zip_imports() -> None:
-    """Make zip-import cache invalidation lazy in this process (idempotent).
-
-    PySpark's Python worker calls ``importlib.invalidate_caches()`` at the
-    start of every task; with the eager 3.11/3.12 ``zipimporter`` that re-reads
-    the directory of every archive finder (``pyspark.zip``, py4j, the Spark
-    jar): 128–225 ms per task on a 4-core box with Python 3.11.7. Called by
-    :func:`map_in_pandas`, so it runs only in Spark's Python workers. A no-op
-    where ``zipimporter`` is already lazy."""
-    if hasattr(zipimport.zipimporter, "_get_files"):
-        return
-    sys.path_hooks[:] = [
-        _LazyZipImporter if hook is zipimport.zipimporter else hook for hook in sys.path_hooks
-    ]
-    for finder in sys.path_importer_cache.values():
-        if type(finder) is zipimport.zipimporter:
-            # In place, so the modules it loaded (their ``__loader__``) read
-            # the shared directory too and are never served a stale one.
-            finder.__class__ = _LazyZipImporter
-
-
 def map_in_pandas(df: DataFrame, fn: Callable, schema: str, *shared) -> DataFrame:
     """``df.mapInPandas`` of ``fn(batch, *shared)`` per Arrow batch, with
-    ``shared`` broadcast once; each task first calls :func:`_lazy_zip_imports`.
-    The only ``mapInPandas`` in ``src/`` (``tests/test_layout.py``)."""
+    ``shared`` broadcast once. The only ``mapInPandas`` in ``src/``
+    (``tests/test_layout.py``)."""
     values = df.sparkSession.sparkContext.broadcast(shared)
 
     def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        _lazy_zip_imports()
         return (fn(pdf, *values.value) for pdf in batches)
 
     return df.mapInPandas(run, schema)
@@ -95,6 +47,14 @@ def _decoded(pdf: pd.DataFrame) -> Iterator[tuple[int, int, np.ndarray]]:
         if tid != prev_tid:
             d, prev_tid = np.asarray([np.asarray(p) for p in pts], dtype=np.float64), tid
         yield qid, tid, d
+
+
+def pairs_frame(spark: SparkSession, pairs: pd.DataFrame) -> DataFrame:
+    """``pairs``' (query_id, traj_id) columns as a ``(query_id long, traj_id
+    long)`` local relation, built from an Arrow table so that Spark scans it
+    in the JVM even when empty (an empty pandas frame plans a Python RDD)."""
+    cols = ("query_id", "traj_id")
+    return spark.createDataFrame(pa.table({c: pa.array(pairs[c], pa.int64()) for c in cols}))
 
 
 def pairwise_search_df(

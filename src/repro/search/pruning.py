@@ -16,7 +16,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.search.api import build_pair_costs, kernel_kind, search_pair
-from repro.search.distributed import map_in_pandas
+from repro.search.distributed import map_in_pandas, pairs_frame
 
 # --------------------------------------------------------------------- GBP
 
@@ -103,7 +103,7 @@ def gbp_candidates_df(
         gbp_index(qpts, eps),
     )
     kept = _gbp_survivors(hits.toPandas(), qpts, mu)
-    return spark.createDataFrame(kept, "query_id long, traj_id long")
+    return pairs_frame(spark, kept)
 
 
 # --------------------------------------------------------------------- KPF

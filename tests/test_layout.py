@@ -52,9 +52,9 @@ def test_no_src_function_is_called_only_from_tests():
 
 
 def test_only_the_launcher_calls_map_in_pandas():
-    """``search.distributed.map_in_pandas`` makes each task's zip-import
-    invalidation lazy before it runs; a ``mapInPandas`` anywhere else would
-    re-read every zip archive directory at the start of each task."""
+    """``search.distributed.map_in_pandas`` broadcasts a task's shared
+    inputs once; a ``mapInPandas`` anywhere else would ship them inside
+    every task's closure."""
     sites = []
     for path, tree in _trees("src"):
         for node in ast.walk(tree):

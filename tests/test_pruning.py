@@ -158,6 +158,7 @@ def test_gbp_empty_result_keeps_its_schema(spark, sets, case):
     assert gbp_candidates_local(queries, data, EPS, 0.2) == set()
     got = gbp_candidates_df(spark, *_point_frames(spark, queries, data), EPS, 0.2)
     assert got.schema.simpleString() == "struct<query_id:bigint,traj_id:bigint>"
+    assert "ExistingRDD" not in got._jdf.queryExecution().executedPlan().toString()
     assert got.collect() == []
 
 

@@ -1,13 +1,14 @@
 """Distributed search: Spark path ≡ driver path; relational steps (top-K,
 exploded points) oracle-checked against DuckDB SQL; plan shapes (trajectory
-frames are local relations, no shuffle below the search UDF); the search
-workers' lazy zip-import invalidation."""
+frames are local relations, no shuffle below the search UDF); lazy zip-import
+invalidation in Spark's Python workers and its start-up hook."""
 from __future__ import annotations
 
 import os
 import subprocess
 import sys
 import textwrap
+import zipfile
 import zipimport
 from pathlib import Path
 
@@ -202,13 +203,20 @@ def test_explode_points_matches_duckdb(spark, tiny_df):
     assert (pdf.groupby("traj_id")["seq"].min() == 0).all()
 
 
-def _run_isolated(script: str, tmp_path: Path) -> None:
+SRC = str(Path(repro.__file__).parents[1])
+SPARK_WORKER_VAR = "PYTHON_WORKER_FACTORY_SECRET"
+
+
+def _run_isolated(script: str, tmp_path: Path, *path: str, **env: str) -> None:
     """Run ``script`` in a fresh interpreter, so this process's import state
-    is untouched; it gets a scratch zip path as ``sys.argv[1]``."""
-    src = str(Path(repro.__file__).parents[1])
+    is untouched; it gets a scratch zip path as ``sys.argv[1]``. Its
+    ``PYTHONPATH`` is ``path`` (default: ``src/``), and ``env`` adds to the
+    environment, which never has Spark's worker variable otherwise."""
+    base = {k: v for k, v in os.environ.items() if k != SPARK_WORKER_VAR}
     subprocess.run(
         [sys.executable, "-c", textwrap.dedent(script), str(tmp_path / "mods.zip")],
-        check=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
+        check=True, timeout=120,
+        env={**base, "PYTHONPATH": os.pathsep.join(path or (SRC,)), **env},
     )
 
 
@@ -227,9 +235,9 @@ def test_lazy_zip_imports_defers_and_refreshes_the_directory(tmp_path):
         write({"a.py": "X = 1\\n"})
         sys.path.insert(0, sys.argv[1])
         import a
-        from repro.search.distributed import _lazy_zip_imports
-        _lazy_zip_imports()
-        _lazy_zip_imports()
+        from repro.lazy_zip import install
+        install()
+        install()
         assert sys.path_hooks.count(type(a.__loader__)) == 1
         assert a.__loader__ is sys.path_importer_cache[sys.argv[1]]
 
@@ -256,16 +264,88 @@ def test_lazy_zip_imports_is_a_noop_where_zipimporter_is_lazy(tmp_path):
         importlib.util.find_spec("absent")
         zipimport.zipimporter._get_files = lambda self: {}
         hooks, finders = list(sys.path_hooks), dict(sys.path_importer_cache)
-        from repro.search.distributed import _lazy_zip_imports
-        _lazy_zip_imports()
+        from repro.lazy_zip import install
+        install()
         assert sys.path_hooks == hooks
         assert type(sys.path_importer_cache[sys.argv[1]]) is zipimport.zipimporter
         assert all(sys.path_importer_cache[p] is f for p, f in finders.items())
     """, tmp_path)
 
 
+def _zip_on_path(tmp_path: Path) -> str:
+    """An empty archive, to put before ``src/`` on a fresh interpreter's
+    path: importing ``sitecustomize`` then caches a zip finder for it."""
+    archive = tmp_path / "mods.zip"
+    zipfile.ZipFile(archive, "w").close()
+    return str(archive)
+
+
+def test_sitecustomize_leaves_a_process_without_spark_alone(tmp_path):
+    """Without Spark's worker variable (the driver, any other process) the
+    start-up hook installs nothing and imports nothing of ``repro``."""
+    _run_isolated(f"""
+        import sys, zipimport
+        import sitecustomize
+        assert sitecustomize.__file__ == {os.path.join(SRC, "sitecustomize.py")!r}
+        assert zipimport.zipimporter in sys.path_hooks
+        assert type(sys.path_importer_cache[sys.argv[1]]) is zipimport.zipimporter
+        assert [m for m in sys.modules if m.split(".")[0] == "repro"] == []
+    """, tmp_path, _zip_on_path(tmp_path), SRC)
+
+
+def test_sitecustomize_installs_the_lazy_importer_in_spark_processes(tmp_path):
+    """With the variable set (Spark's Python daemon and workers) the hook
+    installs the importer before any task, re-classing the finder cached
+    while ``site`` looked for ``sitecustomize``, and imports only the
+    stdlib-only installer: the daemon forks every worker."""
+    _run_isolated("""
+        import sys, zipimport
+        from repro.lazy_zip import _LazyZipImporter
+        assert _LazyZipImporter in sys.path_hooks
+        assert zipimport.zipimporter not in sys.path_hooks
+        assert type(sys.path_importer_cache[sys.argv[1]]) is _LazyZipImporter
+        heavy = {"numpy", "pandas", "pyarrow", "pyspark", "py4j"} & set(sys.modules)
+        assert heavy == set(), heavy
+    """, tmp_path, _zip_on_path(tmp_path), SRC, **{SPARK_WORKER_VAR: "x"})
+
+
+def test_sitecustomize_runs_the_one_it_shadows(tmp_path):
+    """A ``sitecustomize`` later on the path (a distribution's own) still
+    runs, also behind a second copy of the hook (a parent checkout's ``src/``
+    before this one): each copy searches only the entries after its own."""
+    later, copy = tmp_path / "later", tmp_path / "copy"
+    later.mkdir()
+    copy.mkdir()
+    (later / "sitecustomize.py").write_text("import sys\nsys.shadowed_hook_ran = __file__\n")
+    (copy / "sitecustomize.py").write_text(Path(SRC, "sitecustomize.py").read_text())
+    for path in ((SRC, str(later)), (str(copy), SRC, str(later))):
+        for env in ({}, {SPARK_WORKER_VAR: "x"}):
+            _run_isolated(f"""
+                import sys
+                assert sys.shadowed_hook_ran == {str(later / "sitecustomize.py")!r}
+            """, tmp_path, *path, **env)
+
+
+def test_spark_python_workers_start_with_lazy_zip_imports(spark):
+    """Spark's Python daemon installs the importer at start-up, so a plain
+    RDD task, which never enters ``map_in_pandas``, holds no eager zip
+    finder."""
+
+    def probe(_):
+        import sys
+        import zipimport
+
+        cache = sys.path_importer_cache.items()
+        return [p for p, f in cache if type(f) is zipimport.zipimporter]
+
+    n = spark.sparkContext.defaultParallelism
+    got = spark.sparkContext.parallelize(range(n), n).map(probe).collect()
+    assert got == [[]] * n
+
+
 def test_search_leaves_the_calling_process_import_hooks_alone(spark, tiny, tiny_df):
-    """The hook is installed by the search UDF, in Spark's Python workers."""
+    """The hook is installed in Spark's Python daemon and workers, never in
+    the driver that runs the search."""
     queries, _ = tiny
     hooks = list(sys.path_hooks)
     assert pairwise_search_df(spark, queries, tiny_df, "CMA", "DTW").count() > 0

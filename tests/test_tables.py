@@ -117,17 +117,19 @@ def test_table3_runs_gbp_once_per_profile(monkeypatch):
 
 @pytest.mark.parametrize("pairs", [set(), {(1, 7), (0, 3)}], ids=["empty", "two"])
 def test_table3_spark_survivor_frame(spark, pairs):
-    """The survivors reach the timed search as a frame built from pandas, a
-    local relation scanned in the JVM; an empty survivor set gives an empty
-    frame with the same schema, and the search over it answers nothing."""
+    """The survivors reach the timed search as a frame built from Arrow, a
+    local relation scanned in the JVM with no Python RDD behind it, empty or
+    not; an empty survivor set gives an empty frame with the same schema,
+    and the search over it answers nothing."""
     profile, queries, data = load_profile("porto-test")
     backend = table3._backend(spark, queries, data)
     try:
         prepared = backend.prepare(pairs)
         assert prepared.schema.simpleString() == "struct<query_id:bigint,traj_id:bigint>"
         assert [tuple(r) for r in prepared.collect()] == sorted(pairs)
-        if pairs:
-            assert "LocalTableScan" in prepared._jdf.queryExecution().executedPlan().toString()
+        plan = prepared._jdf.queryExecution().executedPlan().toString()
+        assert "LocalTableScan" in plan
+        assert "ExistingRDD" not in plan
         params = city_params(profile.city, "DTW", bbox_scale=profile.bbox_scale)
         top = backend.top1("CMA", "DTW", prepared, **params)
         assert sorted((r["query_id"], r["traj_id"]) for r in top) == sorted(pairs)
