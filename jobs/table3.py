@@ -1,18 +1,25 @@
 """Reproduce paper Table 3 (efficiency: wall-clock per algorithm).
 
 Usage: spark-submit jobs/table3.py  (or plain ``python jobs/table3.py``,
-which creates its own local session).
+which creates its own local session). Run that way, the script puts ``src/``
+on the Spark Python workers' path before it starts the JVM, so the workers
+import ``repro`` and start with its lazy zip imports
+(``src/sitecustomize.py``); under spark-submit, export ``PYTHONPATH=src``.
 
 Full pipeline per (dataset, distance): GBP grid pruning (mapInPandas) → KPF
-lower-bound pruning → per-algorithm search via mapInPandas → top-1 window
-query. Projected-over-budget ExactS cells report ``overtime`` (the paper's
-Beijing rows). Writes ``results/table3.csv``.
+lower-bound pruning → per-algorithm search via mapInPandas → top-1 merged on
+the driver. Projected-over-budget ExactS cells report ``overtime`` (the
+paper's Beijing rows). Writes ``results/table3.csv``.
 """
 import os
 import pathlib
 import sys
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+sys.path.insert(0, SRC)
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (SRC, os.environ.get("PYTHONPATH")) if p
+)
 
 os.environ.setdefault(
     "PYSPARK_SUBMIT_ARGS",

@@ -51,11 +51,20 @@ class WedCosts:
 
 
 def euclid_matrix(q: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Pairwise Euclidean distances, shape (len(q), len(d))."""
+    """Pairwise Euclidean distances, shape (len(q), len(d)).
+
+    One (m, n) difference per coordinate, squared and summed in coordinate
+    order, then rooted in place: the same float operations, and so the same
+    bits, as reducing the (m, n, dim) difference array, without building it.
+    """
     q = np.asarray(q, dtype=np.float64)
     d = np.asarray(d, dtype=np.float64)
-    diff = q[:, None, :] - d[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=2))
+    total = np.zeros((len(q), len(d)))
+    for c in range(q.shape[1]):
+        diff = q[:, c, None] - d[:, c]
+        diff *= diff
+        total += diff
+    return np.sqrt(total, out=total)
 
 
 def wed_unit_costs(q: np.ndarray, d: np.ndarray) -> WedCosts:

@@ -6,9 +6,11 @@ its batch of (query, trajectory) rows, and Arrow casts the rows to
 ``PAIR_SCHEMA``. The (small) query set is broadcast, and the pair rows are
 built on the cached data partitions without a shuffle: the pruning
 survivors are broadcast-joined to the trajectories, or, unpruned, each
-trajectory row is exploded over every query id. The final top-K per query
-is a Catalyst window query (oracle-checked against DuckDB in tests). Each
-task, here and in GBP's grid lookup, starts in :func:`map_in_pandas`.
+trajectory row is exploded over every query id. The top-K per query is
+merged on the driver: :func:`topk_df` collects the pair rows in the search's
+own Arrow job and ranks them with :func:`repro.search.local.rank` (checked
+against DuckDB's window SQL in tests), so no shuffle follows the search.
+Each task, here and in GBP's grid lookup, starts in :func:`map_in_pandas`.
 Spark's Python daemon makes zip-import invalidation lazy at start-up
 (``src/sitecustomize.py``, :mod:`repro.lazy_zip`), so every worker it forks,
 RDD and UDF workers too, skips re-reading the zip archives per task.
@@ -20,11 +22,11 @@ from typing import Callable, Iterator
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-from pyspark.sql import DataFrame, SparkSession, Window
+from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.baselines.rls import RLSPolicy
-from repro.search.local import COLUMNS, PAIR_SCHEMA, search_rows
+from repro.search.local import COLUMNS, PAIR_SCHEMA, rank, search_rows
 
 
 def map_in_pandas(df: DataFrame, fn: Callable, schema: str, *shared) -> DataFrame:
@@ -49,12 +51,23 @@ def _decoded(pdf: pd.DataFrame) -> Iterator[tuple[int, int, np.ndarray]]:
         yield qid, tid, d
 
 
+_ARROW_TYPES = {"long": pa.int64(), "int": pa.int32(), "double": pa.float64()}
+
+
+def _local_frame(spark: SparkSession, rows: pd.DataFrame, schema: str) -> DataFrame:
+    """``rows``' columns named in the DDL ``schema`` as a local relation of
+    those types, built from an Arrow table so that Spark scans it in the JVM
+    even when empty (an empty pandas frame plans a Python RDD)."""
+    fields = (field.split() for field in schema.split(", "))
+    return spark.createDataFrame(pa.table({
+        name: pa.array(rows[name], _ARROW_TYPES[kind], from_pandas=False)
+        for name, kind in fields
+    }))
+
+
 def pairs_frame(spark: SparkSession, pairs: pd.DataFrame) -> DataFrame:
-    """``pairs``' (query_id, traj_id) columns as a ``(query_id long, traj_id
-    long)`` local relation, built from an Arrow table so that Spark scans it
-    in the JVM even when empty (an empty pandas frame plans a Python RDD)."""
-    cols = ("query_id", "traj_id")
-    return spark.createDataFrame(pa.table({c: pa.array(pairs[c], pa.int64()) for c in cols}))
+    """``pairs``' (query_id, traj_id) columns as a local relation."""
+    return _local_frame(spark, pairs, "query_id long, traj_id long")
 
 
 def pairwise_search_df(
@@ -90,10 +103,8 @@ def pairwise_search_df(
 
 
 def topk_df(pair_df: DataFrame, k: int = 1) -> DataFrame:
-    """Top-K per query as a Catalyst window query (deterministic ties)."""
-    w = Window.partitionBy("query_id").orderBy(F.col("dist").asc(), F.col("traj_id").asc())
-    return (
-        pair_df.withColumn("rank", F.row_number().over(w))
-        .filter(F.col("rank") <= k)
-        .drop("rank")
-    )
+    """Top-K per query of ``pair_df`` (``PAIR_SCHEMA``): its rows are
+    collected in one Arrow job, ranked on the driver by ``rank`` and
+    returned as a local relation, so the answer costs no further job."""
+    top = rank(pair_df.toArrow().to_pandas(), k)
+    return _local_frame(pair_df.sparkSession, top, PAIR_SCHEMA)

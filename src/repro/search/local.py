@@ -4,14 +4,15 @@
 only code that builds one. The driver backend (``pairwise_results`` +
 ``topk``: Table 3's sequential column and perfbench's reference) runs it
 over the whole data list, and every Spark task of
-:mod:`repro.search.distributed` runs it over its own rows.
+:mod:`repro.search.distributed` runs it over its own rows. ``rank`` is the
+only top-K: ``topk`` and the Spark backend's driver merge both call it.
 """
 from __future__ import annotations
 
 import itertools
-from operator import itemgetter
 
 import numpy as np
+import pandas as pd
 
 from repro.baselines.rls import RLSPolicy
 from repro.search.api import search_pair
@@ -53,12 +54,14 @@ def pairwise_results(
     return [dict(zip(COLUMNS, row)) for row in rows]
 
 
-def topk(rows: list[dict], k: int = 1) -> list[dict]:
-    """Top-K most similar subtrajectories per query (paper Def. 6 / App. E).
+def rank(rows: pd.DataFrame, k: int) -> pd.DataFrame:
+    """The first ``k`` of ``rows`` (``COLUMNS``) per query, by (query_id,
+    dist, traj_id). The sort is stable, so equal keys keep their input order."""
+    ranked = rows.sort_values(["query_id", "dist", "traj_id"], kind="stable")
+    return ranked.groupby("query_id", sort=False).head(k)
 
-    Ordered by (query_id, dist, traj_id), as ``topk_df``'s window, so the
-    Spark window query and the DuckDB oracle agree row-for-row.
-    """
-    ranked = sorted(rows, key=itemgetter("query_id", "dist", "traj_id"))
-    groups = itertools.groupby(ranked, key=itemgetter("query_id"))
-    return [r for _, group in groups for r in itertools.islice(group, k)]
+
+def topk(rows: list[dict], k: int = 1) -> list[dict]:
+    """Top-K most similar subtrajectories per query (paper Def. 6 / App. E),
+    ranked by :func:`rank`, as ``topk_df``'s driver merge."""
+    return rank(pd.DataFrame(rows, columns=COLUMNS), k).to_dict("records")

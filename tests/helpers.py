@@ -1,6 +1,7 @@
 """Shared test utilities: tiny trajectory and road-network walk factories,
-an O(mn³) brute-force reference, GBP's brute-force ``close`` count and the
-OSF-like envelope bound KPF is compared with.
+an O(mn³) brute-force reference, the 3-D-array Euclidean cost matrix, GBP's
+brute-force ``close`` count and the OSF-like envelope bound KPF is compared
+with.
 
 The reference is *independent* of ``src/``: it scores every window with
 the textbook memoised recursions below (Eq. 2, Eq. 3 and discrete Fréchet
@@ -102,6 +103,14 @@ def brute_force_best(kind: str, costs) -> tuple[float, int, int]:
             if d < best:
                 best, bs, be = d, s, e
     return best, bs, be
+
+
+def euclid_matrix_3d(q: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Pairwise Euclidean distances by reducing the (m, n, dim) difference
+    array: the oracle :func:`repro.core.costs.euclid_matrix` must match bit
+    for bit."""
+    diff = q[:, None, :] - d[None, :, :]
+    return np.sqrt((diff * diff).sum(axis=2))
 
 
 def random_pair(case, offset=0, *, max_m, max_n, min_n=1, kind="spatial"):

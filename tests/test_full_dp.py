@@ -6,7 +6,10 @@ import pytest
 
 from repro.core import costs as C
 from tests.helpers import (
+    EDGE_SHAPES,
+    euclid_matrix_3d,
     full_distance,
+    random_pair,
     random_symbol_traj,
     random_traj,
     recursive_distance,
@@ -48,6 +51,16 @@ def test_fd_matches_recursion(seed):
     d = random_traj(rng, int(rng.integers(1, 11)))
     SUB = C.euclid_matrix(q, d)
     assert full_distance("fd", SUB) == pytest.approx(recursive_distance("fd", SUB))
+
+
+@pytest.mark.parametrize("case", [*range(40), *EDGE_SHAPES])
+@pytest.mark.parametrize("kind", ["spatial", "symbol"])
+def test_euclid_matrix_is_bit_identical_to_the_3d_reduction(case, kind):
+    """Split columns change no bit, at m = 1, n = 1, n < m and 1-D points;
+    the shifted copy has taxi-like coordinates with small differences."""
+    q, d = random_pair(case, 200, max_m=40, max_n=150, kind=kind)
+    for qs, ds in ((q, d), (q + 116.3, d + 116.3)):
+        assert C.euclid_matrix(qs, ds).tobytes() == euclid_matrix_3d(qs, ds).tobytes()
 
 
 def test_wed_unmatched_boundary():

@@ -1,13 +1,15 @@
-"""Distributed search: Spark path ≡ driver path; relational steps (top-K,
-exploded points) oracle-checked against DuckDB SQL; plan shapes (trajectory
-frames are local relations, no shuffle below the search UDF); lazy zip-import
-invalidation in Spark's Python workers and its start-up hook."""
+"""Distributed search: Spark path ≡ driver path; the driver-merged top-K and
+the exploded points oracle-checked against DuckDB SQL; plan shapes and job
+counts (trajectory frames and top-K answers are local relations, no shuffle
+anywhere in the search, one job after the survivors' broadcast); lazy
+zip-import invalidation in Spark's Python workers and its start-up hook."""
 from __future__ import annotations
 
 import os
 import subprocess
 import sys
 import textwrap
+import uuid
 import zipfile
 import zipimport
 from pathlib import Path
@@ -15,12 +17,13 @@ from pathlib import Path
 import numpy as np
 import pandas as pd
 import pytest
+from pyspark.sql.types import StructType
 
 import repro
 from repro.eval.table2 import DEFAULT_ALGORITHMS, DEFAULT_DISTANCES, train_policies
 from repro.search.api import supports
-from repro.search.distributed import pairwise_search_df, topk_df
-from repro.search.local import pairwise_results, topk
+from repro.search.distributed import pairs_frame, pairwise_search_df, topk_df
+from repro.search.local import PAIR_SCHEMA, pairwise_results, topk
 from repro.synth_data import explode_points, make_queries, taxi_trajectories, trajectories_df
 from tests.oracle import assert_equivalent
 
@@ -68,6 +71,7 @@ def test_distributed_equals_local(spark, tiny, tiny_df, policies, algorithm, dis
 
 
 def test_topk_window_query_matches_duckdb_oracle(spark, tiny, tiny_df):
+    """The driver merge returns what DuckDB's window query returns."""
     queries, _ = tiny
     pair_df = pairwise_search_df(spark, queries, tiny_df, "CMA", "DTW").cache()
     got = topk_df(pair_df, k=2).select("query_id", "traj_id", "dist")
@@ -105,21 +109,24 @@ def test_topk_local_matches_spark(spark, tiny, tiny_df):
 
 def test_topk_local_matches_spark_row_for_row_under_edr_ties(spark, tiny, tiny_df):
     """EDR's integer distances tie: some query's 2nd and 3rd best are equal,
-    so the (dist, traj_id) tie-break picks which trajectories make its top 2."""
+    so the (dist, traj_id) tie-break picks which trajectories make its top k."""
     queries, data = tiny
     rows = pairwise_results("CMA", "EDR", queries, data)
     ranks = [sorted(r["dist"] for r in rows if r["query_id"] == qid) for qid in range(3)]
     assert any(second == third for _, second, third, *_ in ranks)
-    got = (
-        topk_df(pairwise_search_df(spark, queries, tiny_df, "CMA", "EDR"), k=2)
-        .toPandas()
-        .sort_values(["query_id", "dist", "traj_id"])
-        .reset_index(drop=True)
-    )
-    ref = pd.DataFrame(topk(rows, k=2))
-    pd.testing.assert_frame_equal(
-        got.astype({"start": "int64", "end": "int64"}), ref, check_dtype=False
-    )
+    pair_df = pairwise_search_df(spark, queries, tiny_df, "CMA", "EDR").cache()
+    for k in (1, 2, 3):
+        got = (
+            topk_df(pair_df, k=k)
+            .toPandas()
+            .sort_values(["query_id", "dist", "traj_id"])
+            .reset_index(drop=True)
+        )
+        ref = pd.DataFrame(topk(rows, k=k))
+        pd.testing.assert_frame_equal(
+            got.astype({"start": "int64", "end": "int64"}), ref, check_dtype=False
+        )
+    pair_df.unpersist()
 
 
 def test_restricted_pairs_df_limits_search(spark, tiny, tiny_df):
@@ -179,14 +186,59 @@ def test_pair_search_plan_has_no_shuffle(spark, tiny, tiny_df, pruned):
     assert plan.count("Exchange") == plan.count("BroadcastExchange") == int(pruned)
 
 
+def _fields(df) -> list:
+    return [(f.name, f.dataType) for f in df.schema]
+
+
 def test_empty_pairs_df_gives_empty_results(spark, tiny, tiny_df):
+    """An empty top-K keeps ``PAIR_SCHEMA`` and is scanned in the JVM."""
     queries, _ = tiny
     pairs_df = spark.createDataFrame([], "query_id long, traj_id long")
     pair_df = pairwise_search_df(
         spark, queries, tiny_df, "CMA", "DTW", pairs_df=pairs_df
     )
     assert pair_df.collect() == []
-    assert topk_df(pair_df, 1).collect() == []
+    top = topk_df(pair_df, 1)
+    assert top.collect() == []
+    assert _fields(top) == _fields(pair_df) == [
+        (f.name, f.dataType) for f in StructType.fromDDL(PAIR_SCHEMA)
+    ]
+    assert "ExistingRDD" not in _plan(top)
+
+
+def _jobs(spark, action) -> tuple:
+    """``action()``'s result, and the number of Spark jobs it ran."""
+    sc, group = spark.sparkContext, f"job-count-{uuid.uuid4().hex}"
+    sc.setJobGroup(group, "job count")
+    try:
+        result = action()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    return result, len(sc.statusTracker().getJobIdsForGroup(group))
+
+
+@pytest.mark.parametrize("pruned", [False, True])
+def test_search_and_topk_run_one_job_with_no_shuffle(spark, tiny, tiny_df, pruned):
+    """The top-K is merged on the driver: search plus top-K is the search's
+    one job, after the survivors' broadcast when a ``pairs_frame`` restricts
+    it; the answer's plan has no window and no hash exchange, and collecting
+    it runs no job."""
+    queries, data = tiny
+    pairs = {(0, 1), (2, 5)} if pruned else None
+    pairs_df = (
+        pairs_frame(spark, pd.DataFrame(sorted(pairs), columns=["query_id", "traj_id"]))
+        if pruned
+        else None
+    )
+    top, jobs = _jobs(spark, lambda: topk_df(pairwise_search_df(
+        spark, queries, tiny_df, "CMA", "DTW", pairs_df=pairs_df
+    ), 1))
+    rows, more_jobs = _jobs(spark, top.collect)
+    assert (jobs, more_jobs) == (1 + pruned, 0)
+    plan = _plan(top)
+    assert "Window" not in plan and "Exchange hashpartitioning" not in plan
+    ref = topk(pairwise_results("CMA", "DTW", queries, data, pairs=pairs), 1)
+    assert [r.asDict() for r in rows] == ref
 
 
 def test_explode_points_matches_duckdb(spark, tiny_df):
