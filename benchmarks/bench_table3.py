@@ -1,7 +1,8 @@
 """Benchmark for Table 3 (efficiency pipeline).
 
-Times the stages of the Table 3 pipeline on bench-scale data: GBP's
-grid kernel on Spark, the KPF bound computation, and the distributed
+Times the stages of the Table 3 pipeline on bench-scale data: GBP on
+Spark point frames (collected, then pruned on the driver), the KPF bound
+computation, and the distributed
 mapInPandas search per algorithm (CMA vs ExactS is the paper's headline
 ratio), unpruned and over the GBP → KPF survivors. The full table is
 produced by ``jobs/table3.py``; paper vs measured numbers live in
@@ -34,6 +35,8 @@ def porto(spark):
 
 
 def test_bench_gbp_dataflow(benchmark, spark, porto):
+    """``gbp_candidates_df``: two Arrow collects of the point frames, the
+    driver's grid join and the survivors' local relation."""
     profile, _, _, _, qpts, dpts = porto
     out = benchmark.pedantic(
         lambda: gbp_candidates_df(

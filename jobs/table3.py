@@ -6,8 +6,8 @@ on the Spark Python workers' path before it starts the JVM, so the workers
 import ``repro`` and start with its lazy zip imports
 (``src/sitecustomize.py``); under spark-submit, export ``PYTHONPATH=src``.
 
-Full pipeline per (dataset, distance): GBP grid pruning (mapInPandas) → KPF
-lower-bound pruning → per-algorithm search via mapInPandas → top-1 merged on
+Full pipeline per (dataset, distance): GBP grid pruning (on the driver) →
+KPF lower-bound pruning → per-algorithm search via mapInPandas → top-1 merged on
 the driver. Projected-over-budget ExactS cells report ``overtime`` (the
 paper's Beijing rows). Writes ``results/table3.csv``.
 """

@@ -9,8 +9,9 @@ Pipeline per (dataset, distance), mirroring the paper's Algorithm 3:
 3. **Search** (timed per algorithm): the per-pair kernel over the surviving
    pairs, then the top-1 per query.
 
-The backend is picked once per profile: with a SparkSession GBP's grid
-kernel and the search run in ``mapInPandas`` tasks, else on the driver.
+The backend is picked once per profile: with a SparkSession the search
+runs in ``mapInPandas`` tasks and GBP prunes the collected point frames on
+the driver, else everything runs on the driver.
 ExactS cells whose *projected* cost (sampled per-pair time × pairs ÷
 parallelism) exceeds ``overtime_s`` are reported as ``overtime`` — the
 paper reports exactly that for ExactS on Beijing.
@@ -83,7 +84,7 @@ def _backend(spark: SparkSession | None, queries, data) -> _Backend:
 def _estimate_cell_seconds(
     algorithm, distance, queries, data, pairs, params, policy, parallelism
 ) -> float:
-    """Projected wall-clock from the single largest surviving pair.
+    """Projected wall-clock from one probe of the smallest surviving pair.
 
     Work is extrapolated in the algorithm's own complexity measure —
     m·n² for ExactS, m·n otherwise — so a long-trajectory tail cannot

@@ -70,15 +70,20 @@ def supports(algorithm: str, distance: str) -> bool:
     return True
 
 
+def check_finite(name: str, pts) -> None:
+    """Rejects a NaN/±inf coordinate in ``pts``: the DPs would return NaN or
+    a wrong window for it, and GBP's grid would put every such point in one
+    cell."""
+    if not np.isfinite(pts).all(axis=None):
+        raise ValueError(f"{name} must be non-empty and finite")
+
+
 def build_pair_costs(distance: str, q: np.ndarray, d: np.ndarray, **params):
     """Cost arrays for one (τq, τd) pair. Graph-backed fns need ``graph=``.
-
-    Rejects an empty trajectory or a NaN/±inf coordinate: the DPs would
-    return NaN or a wrong window for them, or fail on an empty row.
-    """
+    Rejects an empty trajectory, whose empty row the DPs would fail on, as
+    if it were non-finite (:func:`check_finite`)."""
     for name, t in (("τq", q), ("τd", d)):
-        if np.size(t) == 0 or not np.isfinite(t).all():
-            raise ValueError(f"{name} must be non-empty and finite")
+        check_finite(name, t if np.size(t) else np.nan)
     return DISTANCES[distance][1](q, d, params)
 
 

@@ -10,7 +10,7 @@ trajectory row is exploded over every query id. The top-K per query is
 merged on the driver: :func:`topk_df` collects the pair rows in the search's
 own Arrow job and ranks them with :func:`repro.search.local.rank` (checked
 against DuckDB's window SQL in tests), so no shuffle follows the search.
-Each task, here and in GBP's grid lookup, starts in :func:`map_in_pandas`.
+Each search task starts in :func:`map_in_pandas`.
 Spark's Python daemon makes zip-import invalidation lazy at start-up
 (``src/sitecustomize.py``, :mod:`repro.lazy_zip`), so every worker it forks,
 RDD and UDF workers too, skips re-reading the zip archives per task.

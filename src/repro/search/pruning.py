@@ -1,8 +1,7 @@
 """Pruning substrates: GBP and KPF (paper Appendix B).
 
-GBP is one numpy kernel for both backends: :func:`gbp_index` indexes the
-query points' grid cells and :func:`gbp_hits` looks data points up in it,
-over all data on the driver or per Arrow batch in Spark tasks. KPF is
+GBP is one driver-side pandas join for both backends (:func:`_gbp`), over
+point frames built from the trajectories or collected from Spark. KPF is
 computed on the driver with numpy: per-pair lower bounds (Theorem B.1)
 that price the key points with the search's own cost model
 (``search.api.build_pair_costs``), applied by ``kpf_survivors``, a
@@ -15,8 +14,8 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.search.api import build_pair_costs, kernel_kind, search_pair
-from repro.search.distributed import map_in_pandas, pairs_frame
+from repro.search.api import build_pair_costs, check_finite, kernel_kind, search_pair
+from repro.search.distributed import pairs_frame
 
 # --------------------------------------------------------------------- GBP
 
@@ -28,41 +27,31 @@ def grid_cells(pts: np.ndarray, eps: float) -> np.ndarray:
     return np.floor(np.asarray(pts, dtype=np.float64) / eps).astype(np.int64)
 
 
-def _cell_keys(cells: np.ndarray) -> np.ndarray:
-    """Each (cx, cy) row as one int64-pair key, ordered field by field."""
-    return np.ascontiguousarray(cells, dtype=np.int64).view("i8,i8")[:, 0]
-
-
-def gbp_index(query_points: pd.DataFrame, eps: float) -> tuple[np.ndarray, ...]:
-    """Grid inverted index of ``query_points`` (query_id, seq, x, y) at cell
-    side ε (App. B): the sorted keys of each point's 3×3 neighbour cells,
-    and per key the point's query_id and seq."""
-    cells = grid_cells(query_points[["x", "y"]], eps)[:, None] + _NEIGHBOURS
-    keys = _cell_keys(cells.reshape(-1, 2))
-    order = np.argsort(keys)
-    point = order // len(_NEIGHBOURS)
-    return keys[order], *(query_points[c].to_numpy()[point] for c in ("query_id", "seq"))
-
-
-def gbp_hits(index: tuple[np.ndarray, ...], traj_ids, points, eps: float) -> pd.DataFrame:
-    """Distinct ``(query_id, traj_id, seq)`` hits: point ``seq`` of query
-    ``query_id`` has a point of ``traj_id`` in its 3×3 cell neighbourhood
-    (Eq. 26). Each distinct (traj_id, cell) pair is looked up once."""
-    keys, qid, seq = index
-    tc = np.unique(np.column_stack([traj_ids, grid_cells(points, eps)]), axis=0)
-    first = np.searchsorted(keys, _cell_keys(tc[:, 1:]), "left")
-    n = np.searchsorted(keys, _cell_keys(tc[:, 1:]), "right") - first
-    # The n[i] index entries of key i are first[i], first[i] + 1, …
-    rows = np.repeat(first - np.cumsum(n) + n, n) + np.arange(n.sum())
-    hits = {"query_id": qid[rows], "traj_id": np.repeat(tc[:, 0], n), "seq": seq[rows]}
-    return pd.DataFrame(hits).drop_duplicates(ignore_index=True)
-
-
-def _gbp_survivors(hits: pd.DataFrame, query_points: pd.DataFrame, mu: float) -> pd.DataFrame:
-    """Pairs whose ``close``, their number of distinct hits, is ≥ μ·m (Eq. 27)."""
-    close = hits.drop_duplicates().groupby(["query_id", "traj_id"]).size().reset_index()
-    m = close["query_id"].map(query_points.groupby("query_id").size())
-    return close.loc[close[0] >= mu * m, ["query_id", "traj_id"]]
+def _gbp(
+    query_points: pd.DataFrame, data_points: pd.DataFrame, eps: float, mu: float
+) -> pd.DataFrame:
+    """GBP's surviving ``(query_id, traj_id)`` pairs of the point frames
+    ``(query_id, seq, x, y)`` and ``(traj_id, x, y)``: ``close ≥ μ·m``,
+    where ``close`` counts the query points with a data point in their 3×3
+    cell neighbourhood (Eq. 26–27). Each query point's nine cells are
+    joined to the data's distinct (traj_id, cell) pairs."""
+    for name, pts in (("τq", query_points), ("τd", data_points)):
+        check_finite(name, pts[["x", "y"]])
+    cells = (grid_cells(query_points[["x", "y"]], eps)[:, None] + _NEIGHBOURS).reshape(-1, 2)
+    rows = np.arange(len(query_points)).repeat(len(_NEIGHBOURS))
+    near = query_points[["query_id", "seq"]].iloc[rows]
+    near = near.assign(cx=cells[:, 0], cy=cells[:, 1])
+    occupied = pd.DataFrame(grid_cells(data_points[["x", "y"]], eps), columns=["cx", "cy"])
+    occupied["traj_id"] = data_points["traj_id"].to_numpy()
+    hits = near.merge(occupied.drop_duplicates(), on=["cx", "cy"])
+    m = query_points.groupby("query_id").size()
+    # Every pair is scored, so a pair with no close point survives μ = 0.
+    pairs = pd.MultiIndex.from_product(
+        [m.index, occupied["traj_id"].unique()], names=["query_id", "traj_id"]
+    )
+    close = hits.groupby(["query_id", "traj_id"])["seq"].nunique()
+    close = close.reindex(pairs, fill_value=0).reset_index()
+    return close.loc[close["seq"] >= mu * close["query_id"].map(m), ["query_id", "traj_id"]]
 
 
 def _points_frame(trajs: list[np.ndarray], id_col: str) -> pd.DataFrame:
@@ -78,8 +67,7 @@ def gbp_candidates_local(
 ) -> set[tuple[int, int]]:
     """Surviving (query_id, traj_id) pairs: ``close ≥ μ·m``."""
     qpts, dpts = _points_frame(queries, "query_id"), _points_frame(data, "traj_id")
-    hits = gbp_hits(gbp_index(qpts, eps), dpts["traj_id"], dpts[["x", "y"]], eps)
-    return set(_gbp_survivors(hits, qpts, mu).itertuples(index=False, name=None))
+    return set(_gbp(qpts, dpts, eps, mu).itertuples(index=False, name=None))
 
 
 def gbp_candidates_df(
@@ -89,20 +77,16 @@ def gbp_candidates_df(
     eps: float,
     mu: float,
 ) -> DataFrame:
-    """GBP on Spark → a local ``(query_id long, traj_id long)`` frame.
-
-    ``query_points`` is (query_id, seq, x, y), ``data_points`` (traj_id, seq,
-    x, y). One trajectory may span Arrow batches, so the driver drops
-    duplicate hits from the tasks before it applies ``close ≥ μ·m``.
-    """
-    qpts = query_points.select("query_id", "seq", "x", "y").toPandas()
-    hits = map_in_pandas(
-        data_points.select("traj_id", "x", "y"),
-        lambda pdf, index: gbp_hits(index, pdf["traj_id"], pdf[["x", "y"]], eps),
-        "query_id long, traj_id long, seq long",
-        gbp_index(qpts, eps),
+    """GBP of Spark point frames → a local ``(query_id long, traj_id long)``
+    frame. ``query_points`` is (query_id, seq, x, y), ``data_points``
+    (traj_id, seq, x, y); both are collected, and the driver runs the same
+    :func:`_gbp` as :func:`gbp_candidates_local`."""
+    kept = _gbp(
+        query_points.select("query_id", "seq", "x", "y").toPandas(),
+        data_points.select("traj_id", "x", "y").toPandas(),
+        eps,
+        mu,
     )
-    kept = _gbp_survivors(hits.toPandas(), qpts, mu)
     return pairs_frame(spark, kept)
 
 

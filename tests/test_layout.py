@@ -66,3 +66,21 @@ def test_only_the_launcher_calls_map_in_pandas():
                 )
                 sites.append(f"{path.relative_to(ROOT)}::{fn}")
     assert sites == ["src/repro/search/distributed.py::map_in_pandas"]
+
+
+def test_only_the_search_launches_spark_python_tasks():
+    """``pairwise_search_df`` is the one caller of ``map_in_pandas``: GBP
+    collects its point frames and prunes on the driver."""
+    callers = []
+    for path, tree in _trees("src"):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and "map_in_pandas" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)
+            ):
+                fn = next(
+                    (f.name for f in tree.body if isinstance(f, ast.FunctionDef)
+                     and f.lineno <= node.lineno <= f.end_lineno),
+                    "<module>",
+                )
+                callers.append(f"{path.relative_to(ROOT)}::{fn}")
+    assert callers == ["src/repro/search/distributed.py::pairwise_search_df"]

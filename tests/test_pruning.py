@@ -10,6 +10,7 @@ from pyspark.sql import functions as F
 
 from repro.core import costs as C
 from repro.core.cma import cma
+from repro.eval.datasets import PROFILES
 from repro.eval.table2 import city_params
 from repro.roadnet.graph import RoadNetwork
 from repro.search.api import build_pair_costs, kernel_kind, search_pair
@@ -107,8 +108,8 @@ def _brute_force_gbp(queries, data, eps, mu) -> set[tuple[int, int]]:
 
 def test_gbp_spark_exact_when_trajectories_span_batches(spark, sets):
     """Each trajectory's points are spread over partitions and cut into
-    tiny Arrow batches, so its hits come from several tasks; the driver's
-    merge must still count each query point once per pair."""
+    tiny Arrow batches; the collected frame must still give the brute-force
+    survivors, whatever order its rows arrive in."""
     queries, data = sets
     qpts, dpts = _point_frames(spark, queries, data)
     dpts = dpts.repartition(3, "seq")
@@ -160,6 +161,63 @@ def test_gbp_empty_result_keeps_its_schema(spark, sets, case):
     assert got.schema.simpleString() == "struct<query_id:bigint,traj_id:bigint>"
     assert "ExistingRDD" not in got._jdf.queryExecution().executedPlan().toString()
     assert got.collect() == []
+
+
+def _seeded_profile(name: str, seed: int):
+    """``load_profile(name)`` with its input seed replaced, as perfbench's
+    ``--seed`` draws it."""
+    p = PROFILES[name]
+    data = taxi_trajectories(
+        p.city, p.n_traj, seed=seed, len_scale=p.len_scale, bbox_scale=p.bbox_scale
+    )
+    queries = make_queries(
+        p.city, p.n_queries, len_range=p.query_len, seed=seed + 1000, data=data,
+        bbox_scale=p.bbox_scale, noise_km=p.query_noise_km,
+    )
+    return p, queries, data
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("name", sorted(PROFILES))
+def test_gbp_matches_brute_force_on_every_profile(name, seed):
+    p, queries, data = _seeded_profile(name, seed)
+    for mu in (0.0, p.gbp_mu, 1.0):
+        got = gbp_candidates_local(queries, data, p.gbp_eps, mu)
+        assert got == _brute_force_gbp(queries, data, p.gbp_eps, mu), mu
+
+
+def test_gbp_counts_each_repeated_query_point():
+    """Repeated points are distinct query points (``seq``) but one data cell."""
+    q = np.array([[0.5, 0.5]] * 3 + [[10.5, 10.5]])
+    d = np.array([[0.6, 0.6], [0.6, 0.6], [1.2, 0.4]])
+    assert gbp_close_count(q, d, 1.0) == 3
+    for mu in (0.0, 0.75, 0.8, 1.0):
+        assert gbp_candidates_local([q], [d, d[::-1]], 1.0, mu) == _brute_force_gbp(
+            [q], [d, d[::-1]], 1.0, mu
+        )
+    assert gbp_candidates_local([q], [d], 1.0, 0.75) == {(0, 0)}
+    assert gbp_candidates_local([q], [d], 1.0, 0.8) == set()
+
+
+@pytest.mark.parametrize(
+    "q, d",
+    [
+        ([[np.nan, 0.5]], [[np.inf, 0.5]]),
+        ([[0.5, 0.5], [np.inf, 0.5]], [[0.5, 0.5]]),
+        ([[0.5, 0.5]], [[0.5, 0.5], [-np.inf, 0.5]]),
+        ([[0.5, 0.5]], [[np.nan, 0.5]]),
+    ],
+    ids=["nan-vs-inf", "inf-query", "-inf-data", "nan-data"],
+)
+def test_gbp_rejects_non_finite_points(spark, q, d):
+    """NaN and ±inf all fall in one grid cell (−2⁶³ after the int64 cast),
+    so a NaN query survived against an inf trajectory; both entry points
+    reject them instead."""
+    queries, data = [np.array(q)], [np.array(d)]
+    with pytest.raises(ValueError, match="must be non-empty and finite"):
+        gbp_candidates_local(queries, data, 1.0, 0.3)
+    with pytest.raises(ValueError, match="must be non-empty and finite"):
+        gbp_candidates_df(spark, *_point_frames(spark, queries, data), 1.0, 0.3)
 
 
 def test_gbp_keeps_planted_match():
