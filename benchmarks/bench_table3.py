@@ -10,11 +10,12 @@ EXPERIMENTS.md.
 """
 from __future__ import annotations
 
+import pandas as pd
 import pytest
 
 from repro.eval.datasets import load_profile
 from repro.eval.table2 import city_params
-from repro.search.distributed import pairwise_search_df, topk_df
+from repro.search.distributed import pairs_frame, pairwise_search_df, topk_df
 from repro.search.pruning import gbp_candidates_df, kpf_bound, kpf_survivors
 from repro.synth_data import explode_points, trajectories_df
 
@@ -86,7 +87,8 @@ def test_bench_distributed_search(benchmark, spark, porto, algorithm):
 
 def test_bench_distributed_search_survivors(benchmark, spark, porto):
     """The timed stage of a Porto CMA-DTW cell: the GBP → KPF survivors,
-    built as ``run_table3`` builds them, broadcast-joined to the data."""
+    built as ``run_table3`` builds them (an Arrow-built ``pairs_frame``, no
+    Python RDD), broadcast-joined to the data."""
     profile, queries, data, data_df, qpts, dpts = porto
     params = city_params(profile.city, "DTW", bbox_scale=profile.bbox_scale)
     got = gbp_candidates_df(
@@ -94,7 +96,9 @@ def test_bench_distributed_search_survivors(benchmark, spark, porto):
     ).collect()
     gbp = {(int(r.query_id), int(r.traj_id)) for r in got}
     survivors = kpf_survivors(queries, data, gbp, "DTW", params, profile.kpf_r)
-    pairs_df = spark.createDataFrame(sorted(survivors), "query_id long, traj_id long")
+    pairs_df = pairs_frame(
+        spark, pd.DataFrame(sorted(survivors), columns=["query_id", "traj_id"], dtype="int64")
+    )
 
     def run():
         pair_df = pairwise_search_df(

@@ -67,7 +67,8 @@ def spark() -> SparkSession:
     (shuffle partitions, Arrow, broadcast threshold) are set here.
     Automatic broadcast joins are disabled, so only the explicit
     ``F.broadcast`` hints in ``src/`` broadcast: the plan-shape tests
-    count exactly those exchanges.
+    count exactly those exchanges. Arrow fallback is off, so a pandas
+    frame that Arrow cannot take raises instead of becoming a Python RDD.
     """
     s = (
         SparkSession.builder.appName("repro")
@@ -76,6 +77,7 @@ def spark() -> SparkSession:
             os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"),
         )
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
+        .config("spark.sql.execution.arrow.pyspark.fallback.enabled", "false")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .getOrCreate()
     )

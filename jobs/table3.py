@@ -8,8 +8,9 @@ import ``repro`` and start with its lazy zip imports
 
 Full pipeline per (dataset, distance): GBP grid pruning (on the driver) →
 KPF lower-bound pruning → per-algorithm search via mapInPandas → top-1 merged on
-the driver. Projected-over-budget ExactS cells report ``overtime`` (the
-paper's Beijing rows). Writes ``results/table3.csv``.
+the driver. A cell whose search is still running ``OVERTIME_S`` (default 60)
+seconds after it started stops and reports ``overtime`` (the paper's Beijing
+rows). Writes ``results/table3.csv``.
 """
 import os
 import pathlib
@@ -37,6 +38,7 @@ def main() -> None:
         SparkSession.builder.appName("repro-table3")
         .config("spark.sql.shuffle.partitions", "64")
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
+        .config("spark.sql.execution.arrow.pyspark.fallback.enabled", "false")
         .getOrCreate()
     )
     try:

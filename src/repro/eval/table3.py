@@ -12,9 +12,10 @@ Pipeline per (dataset, distance), mirroring the paper's Algorithm 3:
 The backend is picked once per profile: with a SparkSession the search
 runs in ``mapInPandas`` tasks and GBP prunes the collected point frames on
 the driver, else everything runs on the driver.
-ExactS cells whose *projected* cost (sampled per-pair time × pairs ÷
-parallelism) exceeds ``overtime_s`` are reported as ``overtime`` — the
-paper reports exactly that for ExactS on Beijing.
+Each cell's search gets a wall-clock deadline ``overtime_s`` away and stops
+at the first pair after it; a cell whose deadline has passed when its
+search returns is reported as ``overtime``, as the paper reports ExactS on
+Beijing. Nothing is cancelled, so the next cell starts on a warm session.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ from repro.eval.table2 import (
     city_params,
     train_policies,
 )
-from repro.search.api import search_pair, supports
+from repro.search.api import supports
 from repro.search.distributed import pairs_frame, pairwise_search_df, topk_df
 from repro.search.local import pairwise_results, topk
 from repro.search.pruning import gbp_candidates_df, gbp_candidates_local, kpf_survivors
@@ -44,7 +45,6 @@ class _Backend(NamedTuple):
     gbp: Callable  # (eps, mu) → surviving (query_id, traj_id) pairs
     prepare: Callable  # pairs → top1's input (Spark: Arrow-built, no Python RDD), untimed
     top1: Callable  # (algorithm, distance, prepared, **params) → top-1 per query
-    parallelism: int
     close: Callable
 
 
@@ -57,7 +57,6 @@ def _backend(spark: SparkSession | None, queries, data) -> _Backend:
             top1=lambda alg, dist, pairs, **kw: topk(
                 pairwise_results(alg, dist, queries, data, pairs=pairs, **kw), 1
             ),
-            parallelism=1,
             close=lambda: None,
         )
     data_df = trajectories_df(spark, data).cache()
@@ -76,37 +75,8 @@ def _backend(spark: SparkSession | None, queries, data) -> _Backend:
         top1=lambda alg, dist, pairs, **kw: topk_df(
             pairwise_search_df(spark, queries, data_df, alg, dist, pairs_df=pairs, **kw), 1
         ).collect(),
-        parallelism=spark.sparkContext.defaultParallelism,
         close=data_df.unpersist,
     )
-
-
-def _estimate_cell_seconds(
-    algorithm, distance, queries, data, pairs, params, policy, parallelism
-) -> float:
-    """Projected wall-clock from one probe of the smallest surviving pair.
-
-    Work is extrapolated in the algorithm's own complexity measure —
-    m·n² for ExactS, m·n otherwise — so a long-trajectory tail cannot
-    slip past the budget (Beijing's ExactS cells are exactly that case).
-    """
-    if not pairs:
-        return 0.0
-
-    def work(qid: int, tid: int) -> float:
-        n = len(data[tid])
-        return len(queries[qid]) * (n * n if algorithm == "ExactS" else n)
-
-    # Probe the *smallest* pair (cheap even when the cell is hopeless) and
-    # scale by the complexity model. Wall-clock is lower-bounded by the
-    # longest single task — parallelism cannot hide a straggler pair.
-    qid, tid = min(pairs, key=lambda p: work(*p))
-    t0 = time.perf_counter()
-    search_pair(algorithm, distance, queries[qid], data[tid], policy=policy, **params)
-    per_unit = (time.perf_counter() - t0) / work(qid, tid)
-    cell = sum(work(q, t) for q, t in pairs)
-    largest = max(work(q, t) for q, t in pairs)
-    return max(per_unit * largest, per_unit * cell / max(parallelism, 1))
 
 
 def run_table3(
@@ -119,9 +89,10 @@ def run_table3(
 ) -> pd.DataFrame:
     """Rows: (dataset, algorithm, distance, seconds, pruned_pairs, searched_pairs).
 
-    ``seconds`` is a float, or ``inf`` for an over-budget cell (rendered as
-    ``overtime``). ``spark=None`` runs the same pipeline on the driver alone:
-    the sequential column of ``jobs/table3.py``.
+    ``seconds`` is a float, or ``inf`` (rendered as ``overtime``) for a cell
+    whose search had not returned ``overtime_s`` after it started.
+    ``spark=None`` runs the same pipeline on the driver alone: the
+    sequential column of ``jobs/table3.py``.
     """
     rows = []
     for pname in profile_names:
@@ -149,16 +120,15 @@ def run_table3(
                     if not supports(algorithm, distance):
                         continue
                     policy = policies.get((distance, algorithm))
-                    projected = _estimate_cell_seconds(
-                        algorithm, distance, queries, data, survivors, params,
-                        policy, backend.parallelism,
+                    deadline = time.time() + overtime_s
+                    t0 = time.perf_counter()
+                    backend.top1(
+                        algorithm, distance, prepared,
+                        policy=policy, deadline=deadline, **params,
                     )
-                    if projected > overtime_s:
+                    secs = time.perf_counter() - t0
+                    if time.time() > deadline:
                         secs = float("inf")
-                    else:
-                        t0 = time.perf_counter()
-                        backend.top1(algorithm, distance, prepared, policy=policy, **params)
-                        secs = time.perf_counter() - t0
                     rows.append(
                         dict(
                             dataset=dataset_label(pname),

@@ -17,6 +17,7 @@ RDD and UDF workers too, skips re-reading the zip archives per task.
 """
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterator
 
 import numpy as np
@@ -79,6 +80,7 @@ def pairwise_search_df(
     *,
     pairs_df: DataFrame | None = None,
     policy: RLSPolicy | None = None,
+    deadline: float = math.inf,
     **params,
 ) -> DataFrame:
     """(query_id, traj_id, dist, start, end) for every surviving pair.
@@ -86,7 +88,8 @@ def pairwise_search_df(
     ``data_df`` is ``(traj_id, pts)``; ``pairs_df`` (optional, from the
     pruning stages) is ``(query_id, traj_id)`` and restricts the search via
     a broadcast join — a ``None`` means the full cross product with the
-    query set.
+    query set. No task searches a pair after ``deadline``
+    (:func:`repro.search.local.search_rows`).
     """
     if pairs_df is None:
         qids = F.array(*[F.lit(qid) for qid in range(len(queries))])
@@ -95,7 +98,9 @@ def pairwise_search_df(
         work = data_df.join(F.broadcast(pairs_df), "traj_id")
 
     def search(pdf: pd.DataFrame, queries: list, policy: RLSPolicy | None) -> pd.DataFrame:
-        rows = search_rows(algorithm, distance, queries, _decoded(pdf), policy=policy, **params)
+        rows = search_rows(
+            algorithm, distance, queries, _decoded(pdf), policy=policy, deadline=deadline, **params
+        )
         return pd.DataFrame(rows, columns=COLUMNS)
 
     queries = [np.asarray(q, dtype=np.float64) for q in queries]

@@ -10,6 +10,8 @@ only top-K: ``topk`` and the Spark backend's driver merge both call it.
 from __future__ import annotations
 
 import itertools
+import math
+import time
 
 import numpy as np
 import pandas as pd
@@ -22,10 +24,15 @@ PAIR_SCHEMA = "query_id long, traj_id long, dist double, start int, end int"
 COLUMNS = tuple(field.split()[0] for field in PAIR_SCHEMA.split(", "))
 
 
-def search_rows(algorithm, distance, queries, work, *, policy=None, **params):
+def search_rows(algorithm, distance, queries, work, *, policy=None, deadline=math.inf, **params):
     """One ``COLUMNS`` row per ``(query_id, traj_id, τd)`` in ``work``, with
-    τq = ``queries[query_id]``; ``policy`` and ``params`` go to ``search_pair``."""
+    τq = ``queries[query_id]``; ``policy`` and ``params`` go to ``search_pair``.
+    Rows stop at the first pair reached after ``deadline`` (``time.time()``).
+    Spark runs in local mode, so its tasks read the driver's clock: a search
+    cut short returns after its deadline, and Table 3 reports it overtime."""
     for qid, tid, d in work:
+        if time.time() > deadline:
+            return
         dist, s, e = search_pair(algorithm, distance, queries[qid], d, policy=policy, **params)
         yield qid, tid, float(dist), int(s), int(e)
 
@@ -38,19 +45,23 @@ def pairwise_results(
     *,
     pairs: set[tuple[int, int]] | None = None,
     policy: RLSPolicy | None = None,
+    deadline: float = math.inf,
     **params,
 ) -> list[dict]:
     """Best subtrajectory per (query, data trajectory) pair.
 
     ``pairs`` restricts evaluation to surviving (query_id, traj_id) pairs
-    (the pruning stages produce this set); ``None`` means all pairs.
+    (the pruning stages produce this set); ``None`` means all pairs. No
+    pair is searched after ``deadline`` (:func:`search_rows`).
     """
     work = (
         (qid, tid, data[tid])
         for qid, tid in itertools.product(range(len(queries)), range(len(data)))
         if pairs is None or (qid, tid) in pairs
     )
-    rows = search_rows(algorithm, distance, queries, work, policy=policy, **params)
+    rows = search_rows(
+        algorithm, distance, queries, work, policy=policy, deadline=deadline, **params
+    )
     return [dict(zip(COLUMNS, row)) for row in rows]
 
 

@@ -7,6 +7,8 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
+from repro.search.api import check_finite
+
 
 # ---------------------------------------------------------------------------
 # Trajectory data (similar-subtrajectory-search reproduction)
@@ -118,7 +120,8 @@ def trajectories_df(spark: SparkSession, trajs: list[np.ndarray]) -> DataFrame:
     Built from a pandas frame: with Arrow on, Spark ships it to the JVM as
     Arrow batches and plans it as a ``LocalTableScan``, so reading it runs
     no Python worker (a row list would become a Python RDD, re-run by every
-    uncached read such as GBP's exploded query points).
+    uncached read such as GBP's exploded query points). A NaN or ±inf
+    point raises ``ValueError`` (``check_finite``) before Arrow sees it.
     """
     from pyspark.sql.types import (
         ArrayType,
@@ -134,6 +137,8 @@ def trajectories_df(spark: SparkSession, trajs: list[np.ndarray]) -> DataFrame:
             StructField("pts", ArrayType(ArrayType(DoubleType(), False), False), False),
         ]
     )
+    for i, t in enumerate(trajs):
+        check_finite(f"trajectory {i}", t)
     pts = [np.asarray(t, dtype=np.float64).tolist() for t in trajs]
     return spark.createDataFrame(
         pd.DataFrame({"traj_id": np.arange(len(trajs)), "pts": pts}), schema

@@ -212,7 +212,7 @@ def test_gbp_counts_each_repeated_query_point():
 def test_gbp_rejects_non_finite_points(spark, q, d):
     """NaN and ±inf all fall in one grid cell (−2⁶³ after the int64 cast),
     so a NaN query survived against an inf trajectory; both entry points
-    reject them instead."""
+    reject them instead (on Spark, ``trajectories_df`` already does)."""
     queries, data = [np.array(q)], [np.array(d)]
     with pytest.raises(ValueError, match="must be non-empty and finite"):
         gbp_candidates_local(queries, data, 1.0, 0.3)

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 import uuid
 import zipfile
 import zipimport
@@ -147,6 +148,20 @@ def test_restricted_pairs_df_limits_search(spark, tiny, tiny_df):
     assert np.allclose(got["dist"].to_numpy(), ref["dist"].to_numpy())
 
 
+def test_past_deadline_searches_no_pair(spark, tiny, tiny_df):
+    """A deadline already past gives no rows on either backend; the default
+    deadline gives one row per pair."""
+    queries, data = tiny
+    past = time.time() - 1.0
+    assert pairwise_results("CMA", "DTW", queries, data, deadline=past) == []
+    assert pairwise_search_df(
+        spark, queries, tiny_df, "CMA", "DTW", deadline=past
+    ).collect() == []
+    n_pairs = len(queries) * len(data)
+    assert len(pairwise_results("CMA", "DTW", queries, data)) == n_pairs
+    assert pairwise_search_df(spark, queries, tiny_df, "CMA", "DTW").count() == n_pairs
+
+
 def _plan(df) -> str:
     return df._jdf.queryExecution().executedPlan().toString()
 
@@ -167,6 +182,16 @@ def test_trajectories_df_round_trips_bit_for_bit(spark, tiny):
         got = np.array(r.pts, dtype=np.float64)
         assert got.shape == trajs[r.traj_id].shape
         assert got.tobytes() == trajs[r.traj_id].tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_trajectories_df_rejects_non_finite_points(spark, tiny, bad):
+    """A NaN would reach Arrow as a null and fall back to a Python RDD, and
+    ±inf would reach the search; all three raise before Arrow, with the
+    message of ``build_pair_costs`` and GBP."""
+    _, data = tiny
+    with pytest.raises(ValueError, match="trajectory 2 must be non-empty and finite"):
+        trajectories_df(spark, [*data[:2], np.array([[0.5, 0.5], [bad, 0.5]])])
 
 
 @pytest.mark.parametrize("pruned", [True, False])

@@ -68,21 +68,25 @@ def test_table3_local_pipeline_structure():
     # Spring appears only under DTW; GB only under FD.
     assert set(df[df.algorithm == "Spring"].distance) == {"DTW"}
     assert set(df[df.algorithm == "GB"].distance) == {"FD"}
-    assert (df["seconds"] >= 0).all()
+    # Every porto-test cell ends inside its budget: none is ``inf``.
+    assert np.isfinite(df["seconds"]).all() and (df["seconds"] >= 0).all()
     txt = format_table3(df)
     assert "CMA" in txt
 
 
-def test_table3_overtime_marker():
-    df = run_table3(
-        None,
-        profile_names=("porto-test",),
-        distances=("DTW",),
-        algorithms=("ExactS",),
-        overtime_s=0.0,  # force the projection over budget
-    )
-    assert np.isinf(df["seconds"]).all()
+@pytest.mark.parametrize("backend", ["driver", "spark"])
+def test_table3_overtime_marker(request, backend):
+    """A budget that has run out before the search starts makes every cell
+    ``overtime``. Nothing is cancelled, so on Spark the next cell on the same
+    session runs at once and gets a finite time."""
+    spark = request.getfixturevalue("spark") if backend == "spark" else None
+    kw = dict(profile_names=("porto-test",), distances=("DTW",))
+    df = run_table3(spark, algorithms=("ExactS", "CMA"), overtime_s=0.0, **kw)
+    assert len(df) == 2 and np.isinf(df["seconds"]).all()
     assert "overtime" in format_table3(df)
+    if spark is not None:
+        after = run_table3(spark, algorithms=("CMA",), overtime_s=60.0, **kw)
+        assert np.isfinite(after["seconds"]).all()
 
 
 def test_table3_spark_matches_driver_funnel(spark):
