@@ -71,19 +71,18 @@ def supports(algorithm: str, distance: str) -> bool:
 
 
 def check_finite(name: str, pts) -> None:
-    """Rejects a NaN/±inf coordinate in ``pts``: the DPs would return NaN or
-    a wrong window for it, and GBP's grid would put every such point in one
-    cell."""
-    if not np.isfinite(pts).all(axis=None):
+    """Rejects an empty ``pts``, whose empty row the DPs would fail on, and a
+    NaN/±inf coordinate in ``pts``: the DPs would return NaN or a wrong
+    window for it, and GBP's grid would put every such point in one cell."""
+    if not np.size(pts) or not np.isfinite(pts).all(axis=None):
         raise ValueError(f"{name} must be non-empty and finite")
 
 
 def build_pair_costs(distance: str, q: np.ndarray, d: np.ndarray, **params):
     """Cost arrays for one (τq, τd) pair. Graph-backed fns need ``graph=``.
-    Rejects an empty trajectory, whose empty row the DPs would fail on, as
-    if it were non-finite (:func:`check_finite`)."""
+    Rejects an empty or non-finite trajectory (:func:`check_finite`)."""
     for name, t in (("τq", q), ("τd", d)):
-        check_finite(name, t if np.size(t) else np.nan)
+        check_finite(name, t)
     return DISTANCES[distance][1](q, d, params)
 
 

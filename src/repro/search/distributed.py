@@ -2,11 +2,12 @@
 
 The per-pair search runs in an Arrow-backed ``mapInPandas`` UDF: each task
 runs the driver's own loop, :func:`repro.search.local.search_rows`, over
-its batch of (query, trajectory) rows, and Arrow casts the rows to
-``PAIR_SCHEMA``. The (small) query set is broadcast, and the pair rows are
-built on the cached data partitions without a shuffle: the pruning
-survivors are broadcast-joined to the trajectories, or, unpruned, each
-trajectory row is exploded over every query id. The top-K per query is
+its batch of (query, trajectory) rows, whose points
+:func:`repro.synth_data.trajectory_points` decodes, and Arrow casts the
+result rows to ``PAIR_SCHEMA``. The (small) query set is broadcast, and the
+pair rows are built on the cached data partitions without a shuffle: the
+pruning survivors are broadcast-joined to the trajectories, or, unpruned,
+each trajectory row is exploded over every query id. The top-K per query is
 merged on the driver: :func:`topk_df` collects the pair rows in the search's
 own Arrow job and ranks them with :func:`repro.search.local.rank` (checked
 against DuckDB's window SQL in tests), so no shuffle follows the search.
@@ -28,6 +29,7 @@ from pyspark.sql import functions as F
 
 from repro.baselines.rls import RLSPolicy
 from repro.search.local import COLUMNS, PAIR_SCHEMA, rank, search_rows
+from repro.synth_data import trajectory_points
 
 
 def map_in_pandas(df: DataFrame, fn: Callable, schema: str, *shared) -> DataFrame:
@@ -40,16 +42,6 @@ def map_in_pandas(df: DataFrame, fn: Callable, schema: str, *shared) -> DataFram
         return (fn(pdf, *values.value) for pdf in batches)
 
     return df.mapInPandas(run, schema)
-
-
-def _decoded(pdf: pd.DataFrame) -> Iterator[tuple[int, int, np.ndarray]]:
-    """``(query_id, traj_id, τd)`` per row. Both plans emit the pairs of one
-    trajectory as adjacent rows, so its points are decoded once per run."""
-    prev_tid = d = None
-    for qid, tid, pts in zip(pdf["query_id"], pdf["traj_id"], pdf["pts"]):
-        if tid != prev_tid:
-            d, prev_tid = np.asarray([np.asarray(p) for p in pts], dtype=np.float64), tid
-        yield qid, tid, d
 
 
 _ARROW_TYPES = {"long": pa.int64(), "int": pa.int32(), "double": pa.float64()}
@@ -85,10 +77,10 @@ def pairwise_search_df(
 ) -> DataFrame:
     """(query_id, traj_id, dist, start, end) for every surviving pair.
 
-    ``data_df`` is ``(traj_id, pts)``; ``pairs_df`` (optional, from the
-    pruning stages) is ``(query_id, traj_id)`` and restricts the search via
-    a broadcast join — a ``None`` means the full cross product with the
-    query set. No task searches a pair after ``deadline``
+    ``data_df`` is a :func:`repro.synth_data.trajectories_df` frame;
+    ``pairs_df`` (optional, from the pruning stages) is ``(query_id,
+    traj_id)`` and restricts the search via a broadcast join — a ``None``
+    means the full cross product with the query set. No task searches a pair after ``deadline``
     (:func:`repro.search.local.search_rows`).
     """
     if pairs_df is None:
@@ -98,8 +90,9 @@ def pairwise_search_df(
         work = data_df.join(F.broadcast(pairs_df), "traj_id")
 
     def search(pdf: pd.DataFrame, queries: list, policy: RLSPolicy | None) -> pd.DataFrame:
+        pairs = zip(pdf["query_id"], pdf["traj_id"], trajectory_points(pdf))
         rows = search_rows(
-            algorithm, distance, queries, _decoded(pdf), policy=policy, deadline=deadline, **params
+            algorithm, distance, queries, pairs, policy=policy, deadline=deadline, **params
         )
         return pd.DataFrame(rows, columns=COLUMNS)
 

@@ -36,7 +36,8 @@ def _gbp(
     cell neighbourhood (Eq. 26–27). Each query point's nine cells are
     joined to the data's distinct (traj_id, cell) pairs."""
     for name, pts in (("τq", query_points), ("τd", data_points)):
-        check_finite(name, pts[["x", "y"]])
+        if len(pts):  # no rows: no trajectories, not an empty one
+            check_finite(name, pts[["x", "y"]])
     cells = (grid_cells(query_points[["x", "y"]], eps)[:, None] + _NEIGHBOURS).reshape(-1, 2)
     rows = np.arange(len(query_points)).repeat(len(_NEIGHBOURS))
     near = query_points[["query_id", "seq"]].iloc[rows]

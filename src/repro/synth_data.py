@@ -3,6 +3,8 @@
 Generators are deterministic in ``seed`` so the DuckDB oracle sees
 identical input.
 """
+from typing import Iterator
+
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
@@ -115,34 +117,27 @@ def make_queries(
 
 
 def trajectories_df(spark: SparkSession, trajs: list[np.ndarray]) -> DataFrame:
-    """Spark DataFrame ``(traj_id: long, pts: array<array<double>>)``.
+    """Spark DataFrame ``(traj_id long, xs array<double>, ys array<double>)``:
+    trajectory ``traj_id`` is the points ``(xs[i], ys[i])``. This module alone
+    knows the layout: :func:`explode_points` and :func:`trajectory_points`
+    read it.
 
     Built from a pandas frame: with Arrow on, Spark ships it to the JVM as
     Arrow batches and plans it as a ``LocalTableScan``, so reading it runs
     no Python worker (a row list would become a Python RDD, re-run by every
-    uncached read such as GBP's exploded query points). A NaN or ±inf
-    point raises ``ValueError`` (``check_finite``) before Arrow sees it.
+    uncached read such as GBP's exploded query points). A trajectory that is
+    not an (n, 2) array, or is empty or holds a NaN or ±inf point
+    (``check_finite``), raises ``ValueError`` before Arrow sees it.
     """
-    from pyspark.sql.types import (
-        ArrayType,
-        DoubleType,
-        LongType,
-        StructField,
-        StructType,
-    )
-
-    schema = StructType(
-        [
-            StructField("traj_id", LongType(), False),
-            StructField("pts", ArrayType(ArrayType(DoubleType(), False), False), False),
-        ]
-    )
     for i, t in enumerate(trajs):
+        if np.shape(t)[1:] != (2,):
+            raise ValueError(f"trajectory {i} must be an (n, 2) array")
         check_finite(f"trajectory {i}", t)
-    pts = [np.asarray(t, dtype=np.float64).tolist() for t in trajs]
-    return spark.createDataFrame(
-        pd.DataFrame({"traj_id": np.arange(len(trajs)), "pts": pts}), schema
-    )
+    xy = [np.asarray(t, dtype=np.float64).T for t in trajs]
+    pdf = pd.DataFrame({
+        "traj_id": np.arange(len(xy)), "xs": [x for x, _ in xy], "ys": [y for _, y in xy]
+    })
+    return spark.createDataFrame(pdf, "traj_id long, xs array<double>, ys array<double>")
 
 
 def explode_points(df: DataFrame) -> DataFrame:
@@ -150,11 +145,11 @@ def explode_points(df: DataFrame) -> DataFrame:
     from pyspark.sql import functions as F
 
     return df.select(
-        "traj_id", F.posexplode("pts").alias("seq", "pt")
-    ).select(
-        "traj_id",
-        "seq",
-        F.col("pt")[0].alias("x"),
-        F.col("pt")[1].alias("y"),
-    )
+        "traj_id", F.posexplode(F.arrays_zip("xs", "ys")).alias("seq", "pt")
+    ).select("traj_id", "seq", F.col("pt.xs").alias("x"), F.col("pt.ys").alias("y"))
 
+
+def trajectory_points(rows: pd.DataFrame) -> Iterator[np.ndarray]:
+    """Each row's trajectory as an (n, 2) array, from a pandas batch of a
+    :func:`trajectories_df` frame (a ``mapInPandas`` task's input)."""
+    return map(np.column_stack, zip(rows["xs"], rows["ys"]))

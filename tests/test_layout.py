@@ -1,6 +1,6 @@
 """Layout guards: no public function or method in ``src/`` exists only for
-the tests (ROADMAP aim 2), and every Spark Python task in ``src/`` starts in
-one launcher.
+the tests (ROADMAP aim 2), every Spark Python task in ``src/`` starts in
+one launcher, and one module knows the trajectory frame's point columns.
 
 A definition counts as used when a module under ``src/``, ``jobs/``,
 ``benchmarks/`` or ``perfbench/`` refers to its name: as a bare name, an
@@ -12,6 +12,7 @@ flagged: a ``dist`` method called only from tests would pass, because
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -84,3 +85,17 @@ def test_only_the_search_launches_spark_python_tasks():
                 )
                 callers.append(f"{path.relative_to(ROOT)}::{fn}")
     assert callers == ["src/repro/search/distributed.py::pairwise_search_df"]
+
+
+def test_only_synth_data_names_the_point_columns():
+    """``synth_data`` writes, explodes and decodes the trajectory frame, so
+    no other module in ``src/`` names its point columns in a string (an
+    ``"xs"``, a DDL or a column path); docstrings may."""
+    sites = set()
+    for path, tree in _trees("src"):
+        bare = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Expr)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and id(node) not in bare and re.search(r"\b(xs|ys)\b", node.value)):
+                sites.add(str(path.relative_to(ROOT)))
+    assert sorted(sites) == ["src/repro/synth_data.py"]

@@ -13,7 +13,7 @@ from repro.core.cma import cma
 from repro.eval.datasets import PROFILES
 from repro.eval.table2 import city_params
 from repro.roadnet.graph import RoadNetwork
-from repro.search.api import build_pair_costs, kernel_kind, search_pair
+from repro.search.api import build_pair_costs, kernel_kind
 from repro.search.local import pairwise_results, topk
 from repro.search.pruning import (
     gbp_candidates_df,
@@ -277,19 +277,34 @@ def test_kpf_bound_below_true_optimum_below_full_rate(distance, r):
         assert bound <= opt + 1e-9, (seed, bound, opt)
 
 
-@pytest.mark.parametrize("distance", ["DTW", "ERP", "EDR", "FD"])
+def _walk_sets(distance: str, seed: int) -> tuple[list, list]:
+    """3 query and 12 data node walks on ``NET``, as edge walks for SURS."""
+    rng = np.random.default_rng(seed)
+    walks = [random_walk(NET, n, rng) for n in [6] * 3 + [15] * 12]
+    if distance == "SURS":
+        walks = [walk_edges(NET, w) for w in walks]
+    return walks[:3], walks[3:]
+
+
+@pytest.mark.parametrize("distance", ["DTW", "ERP", "EDR", "FD", "NetERP", "NetEDR", "SURS"])
 def test_kpf_survivors_keep_optimum_at_full_rate(sets, distance):
     """At r = 1 every bound is a true lower bound (Theorem B.1), so each
-    query's optimal trajectory survives the filter."""
-    queries, data = sets
-    params = city_params("porto", distance)
-    pairs = {(qid, tid) for qid in range(len(queries)) for tid in range(len(data))}
-    kept = kpf_survivors(queries, data, pairs, distance, params, r=1.0)
-    for qid, q in enumerate(queries):
-        dists = [search_pair("CMA", distance, q, d, **params)[0] for d in data]
-        assert (qid, int(np.argmin(dists))) in kept
-    if distance == "DTW":
-        assert len(kept) < len(pairs)
+    query's pruned top-1 is its unpruned top-1. The network distances run on
+    node walks, so the graph cost models are checked through the pipeline."""
+    if distance in ("NetERP", "NetEDR", "SURS"):
+        cases = [(*_walk_sets(distance, seed), {"graph": NET}) for seed in range(5)]
+    else:
+        cases = [(*sets, city_params("porto", distance))]
+    n_pairs = n_kept = 0
+    for queries, data, params in cases:
+        pairs = {(qid, tid) for qid in range(len(queries)) for tid in range(len(data))}
+        kept = kpf_survivors(queries, data, pairs, distance, params, r=1.0)
+        pruned = pairwise_results("CMA", distance, queries, data, pairs=kept, **params)
+        unpruned = pairwise_results("CMA", distance, queries, data, **params)
+        assert topk(pruned, 1) == topk(unpruned, 1)
+        n_pairs, n_kept = n_pairs + len(pairs), n_kept + len(kept)
+    if distance != "EDR":  # its bound keeps every pair of ``sets``
+        assert n_kept < n_pairs
 
 
 @pytest.mark.parametrize("distance", ["DTW", "ERP", "EDR", "FD"])

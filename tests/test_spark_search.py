@@ -15,8 +15,10 @@ import zipfile
 import zipimport
 from pathlib import Path
 
+import duckdb
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
 from pyspark.sql.types import StructType
 
@@ -179,19 +181,26 @@ def test_trajectories_df_round_trips_bit_for_bit(spark, tiny):
     rows = trajectories_df(spark, trajs).collect()
     assert [r.traj_id for r in rows] == list(range(len(trajs)))
     for r in rows:
-        got = np.array(r.pts, dtype=np.float64)
+        got = np.column_stack((r.xs, r.ys))
         assert got.shape == trajs[r.traj_id].shape
         assert got.tobytes() == trajs[r.traj_id].tobytes()
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
-def test_trajectories_df_rejects_non_finite_points(spark, tiny, bad):
-    """A NaN would reach Arrow as a null and fall back to a Python RDD, and
-    ±inf would reach the search; all three raise before Arrow, with the
-    message of ``build_pair_costs`` and GBP."""
+@pytest.mark.parametrize("bad, message", [
+    *[(np.array([[0.5, 0.5], [x, 0.5]]), "must be non-empty and finite")
+      for x in (np.nan, np.inf, -np.inf)],
+    (np.empty((0, 2)), "must be non-empty and finite"),
+    (np.ones((3, 3)), r"must be an \(n, 2\) array"),
+], ids=["nan", "inf", "-inf", "empty", "n-by-3"])
+def test_trajectories_df_rejects_non_finite_points(spark, tiny, bad, message):
+    """A NaN would reach Arrow as a null and fall back to a Python RDD, ±inf
+    would reach the search, and an empty trajectory would fail inside a
+    search task: all raise before Arrow, with the message of
+    ``build_pair_costs`` and GBP. A 3-D trajectory would be searched in 3-D
+    but GBP-pruned in 2-D, so it is rejected too."""
     _, data = tiny
-    with pytest.raises(ValueError, match="trajectory 2 must be non-empty and finite"):
-        trajectories_df(spark, [*data[:2], np.array([[0.5, 0.5], [bad, 0.5]])])
+    with pytest.raises(ValueError, match=f"trajectory 2 {message}"):
+        trajectories_df(spark, [*data[:2], bad])
 
 
 @pytest.mark.parametrize("pruned", [True, False])
@@ -266,18 +275,28 @@ def test_search_and_topk_run_one_job_with_no_shuffle(spark, tiny, tiny_df, prune
     assert [r.asDict() for r in rows] == ref
 
 
-def test_explode_points_matches_duckdb(spark, tiny_df):
-    exploded = explode_points(tiny_df)
-    # Row-count and coordinate aggregates per trajectory vs DuckDB over the
-    # same collected points (the array column itself is not orderable).
-    got = exploded.groupBy("traj_id").count().withColumnRenamed("count", "n")
-    pdf = exploded.toPandas()
-    assert_equivalent(
-        got,
-        "SELECT traj_id, count(*) AS n FROM pts GROUP BY traj_id",
-        pts=pdf,
-    )
-    assert (pdf.groupby("traj_id")["seq"].min() == 0).all()
+def test_explode_points_matches_duckdb(spark, tiny, tiny_df):
+    """Row ``(traj_id, seq, x, y)`` is point ``data[traj_id][seq]``, bit for
+    bit, and each trajectory has one row per point: DuckDB unnests the
+    input points, and the exploded frame equals its rows."""
+    _, data = tiny
+    nested = pa.table({
+        "traj_id": pa.array(range(len(data)), pa.int64()),
+        "pts": pa.array([t.tolist() for t in data], pa.list_(pa.list_(pa.float64()))),
+    })
+    want = duckdb.sql("""
+        SELECT traj_id, seq, pt[1] AS x, pt[2] AS y FROM (
+          SELECT traj_id, generate_subscripts(pts, 1) - 1 AS seq, unnest(pts) AS pt
+          FROM nested)
+        ORDER BY traj_id, seq
+    """).df()
+    got = explode_points(tiny_df).toPandas().sort_values(["traj_id", "seq"])
+    assert got["traj_id"].value_counts().sort_index().tolist() == [len(t) for t in data]
+    for col in ("traj_id", "seq"):
+        assert got[col].tolist() == want[col].tolist()
+    xy = got[["x", "y"]].to_numpy(np.float64)
+    assert xy.tobytes() == want[["x", "y"]].to_numpy(np.float64).tobytes()
+    assert xy.tobytes() == np.concatenate(data).tobytes()
 
 
 SRC = str(Path(repro.__file__).parents[1])
