@@ -43,4 +43,5 @@ def prefix_distances(kind: str, costs: WedCosts | np.ndarray):
     ins_pre, deleted = prefix_sums(costs.insert), 0.0
     for (C, _), dele in zip(anchored, costs.delete.tolist()):
         deleted += dele
-        yield float(_close(C, ins_pre, deleted)[-1])
+        # The last cell of ``_close``: a running minimum's last value is the minimum.
+        yield float(ins_pre[-1] + min(float(np.minimum.reduce(C - ins_pre[1:])), deleted))

@@ -6,16 +6,17 @@ Pipeline per (dataset, distance), mirroring the paper's Algorithm 3:
    grid inverted index → surviving (query, trajectory) pairs.
 2. **KPF** (shared): ``kpf_survivors`` drops the pairs whose lower bound
    exceeds a CMA-probed best-so-far (see DESIGN.md §5).
-3. **Search** (timed per algorithm): the per-pair kernel over the surviving
-   pairs, then the top-1 per query. An untimed search that stops before
-   its first pair runs first, so on Spark the first timed cell does not
-   pay for starting the Python workers.
+3. **Search** (timed per algorithm): the kernel over the surviving pairs,
+   one trajectory against all of its surviving queries at a time, then the
+   top-1 per query. An untimed search that stops before its first
+   trajectory runs first, so on Spark the first timed cell does not pay
+   for starting the Python workers.
 
 The backend is picked once per profile: with a SparkSession the search
 runs in ``mapInPandas`` tasks and GBP prunes the collected point frames on
 the driver, else everything runs on the driver.
-Each cell's search gets a wall-clock deadline ``overtime_s`` away and stops
-at the first pair after it; a cell whose deadline has passed when its
+Each cell's search gets a wall-clock deadline ``overtime_s`` away and starts
+no trajectory after it; a cell whose deadline has passed when its
 search returns is reported as ``overtime``, as the paper reports ExactS on
 Beijing. Nothing is cancelled, so the next cell starts on a warm session.
 """

@@ -4,7 +4,8 @@ This is the single entry point the search layers, the table harnesses and
 KPF call. ``DISTANCES`` maps each distance function to its kernel kind
 (``wed`` / ``dtw`` / ``fd``) and cost model, ``build_pair_costs`` checks a
 pair and builds its costs, and ``search_pair`` runs the algorithm that
-``ALGORITHMS`` names.
+``ALGORITHMS`` names; ``search_queries`` runs it for several queries
+against one data trajectory, CMA in one stacked DP.
 Applicability follows the paper's Table 4: Spring is DTW-only, GB is
 FD-only; everything else supports all order-insensitive functions.
 """
@@ -18,7 +19,7 @@ from repro.baselines.pos_pss import pos, pss
 from repro.baselines.rls import RLSPolicy
 from repro.baselines.spring import spring_dtw
 from repro.core import costs as C
-from repro.core.cma import Result, cma
+from repro.core.cma import Result, cma, cma_stack, stack
 from repro.roadnet import netcosts as N
 
 EXACT_ALGORITHMS = ("CMA", "ExactS", "Spring", "GB")
@@ -100,3 +101,36 @@ def search_pair(
         raise ValueError(f"{algorithm} does not support {distance} (paper Table 4)")
     kind = kernel_kind(distance)
     return ALGORITHMS[algorithm](kind, build_pair_costs(distance, q, d, **params), policy)
+
+
+def search_queries(
+    algorithm: str,
+    distance: str,
+    qs: list[np.ndarray],
+    d: np.ndarray,
+    *,
+    policy: RLSPolicy | None = None,
+    **params,
+) -> list[Result]:
+    """:func:`search_pair` of each query of ``qs`` against ``d``, in order.
+
+    CMA answers them all in one stacked DP (:func:`repro.core.cma.cma_stack`)
+    over the costs of one :func:`build_pair_costs` call on the stack's
+    concatenated points; every cost model is pointwise, so each cost, and
+    each answer, has the bits of its own pair. Other algorithms run pair by
+    pair.
+    """
+    if algorithm != "CMA":
+        return [search_pair(algorithm, distance, q, d, policy=policy, **params) for q in qs]
+    kind = kernel_kind(distance)
+    for q in qs:  # the concatenation would hide an empty query
+        check_finite("τq", q)
+    if not qs:
+        return []
+    points, widths, order = stack([len(q) for q in qs])
+    costs = build_pair_costs(distance, np.concatenate(qs)[points], d, **params)
+    found = cma_stack(kind, costs, widths)
+    answers: list[Result] = [None] * len(qs)
+    for k, answer in zip(order, found):
+        answers[k] = answer
+    return answers

@@ -1,16 +1,18 @@
 """Distributed similar-subtrajectory search (the repro's Spark dataflow).
 
-The per-pair search runs in an Arrow-backed ``mapInPandas`` UDF: each task
-runs the driver's own loop, :func:`repro.search.local.search_rows`, over
-its batch of (query, trajectory) rows, whose points
-:func:`repro.synth_data.trajectory_points` decodes, and Arrow casts the
-result rows to ``PAIR_SCHEMA``. The (small) query set is broadcast, and the
-pair rows are built on the cached data partitions without a shuffle: the
-pruning survivors are broadcast-joined to the trajectories, or, unpruned,
-each trajectory row is exploded over every query id. The top-K per query is
-merged on the driver: :func:`topk_df` collects the pair rows in the search's
-own Arrow job and ranks them with :func:`repro.search.local.rank` (checked
-against DuckDB's window SQL in tests), so no shuffle follows the search.
+The search runs in an Arrow-backed ``mapInPandas`` UDF: each task runs the
+driver's own loop, :func:`repro.search.local.search_rows`, over its batch
+of trajectory rows, whose points :func:`repro.synth_data.trajectory_points`
+decodes, grouped by trajectory so that CMA answers all of a trajectory's
+queries in one stacked DP, and Arrow casts the result rows to
+``PAIR_SCHEMA``. The (small) query set is broadcast, and no shuffle builds
+the work: unpruned, a task gets each cached trajectory row once and pairs
+it with every query; pruned, the survivors are broadcast-joined to the
+trajectories and a task groups the joined rows by ``traj_id`` within its
+batch. The top-K per query is merged on the driver: :func:`topk_df`
+collects the pair rows in the search's own Arrow job and ranks them with
+:func:`repro.search.local.rank` (checked against DuckDB's window SQL in
+tests), so no shuffle follows the search.
 Each search task starts in :func:`map_in_pandas`.
 Spark's Python daemon makes zip-import invalidation lazy at start-up
 (``src/sitecustomize.py``, :mod:`repro.lazy_zip`), so every worker it forks,
@@ -18,6 +20,7 @@ RDD and UDF workers too, skips re-reading the zip archives per task.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Callable, Iterator
 
@@ -80,22 +83,26 @@ def pairwise_search_df(
     ``data_df`` is a :func:`repro.synth_data.trajectories_df` frame;
     ``pairs_df`` (optional, from the pruning stages) is ``(query_id,
     traj_id)`` and restricts the search via a broadcast join — a ``None``
-    means the full cross product with the query set. No task searches a pair after ``deadline``
-    (:func:`repro.search.local.search_rows`).
+    means the full cross product with the query set. A task searches each
+    trajectory of its batch against all of its queries at once; none starts
+    a trajectory after ``deadline`` (:func:`repro.search.local.search_rows`).
     """
-    if pairs_df is None:
-        qids = F.array(*[F.lit(qid) for qid in range(len(queries))])
-        work = data_df.withColumn("query_id", F.explode(qids))
-    else:
-        work = data_df.join(F.broadcast(pairs_df), "traj_id")
+    pruned, every = pairs_df is not None, range(len(queries))  # a task cannot pickle a DataFrame
+
+    def groups(pdf: pd.DataFrame):
+        """``(traj_id, τd, query_ids)`` per trajectory of a task's batch."""
+        if not pruned:
+            return zip(pdf["traj_id"], trajectory_points(pdf), itertools.repeat(every))
+        qids = pdf.groupby("traj_id", sort=False)["query_id"].agg(list)
+        return zip(qids.index, trajectory_points(pdf.drop_duplicates("traj_id")), qids)
 
     def search(pdf: pd.DataFrame, queries: list, policy: RLSPolicy | None) -> pd.DataFrame:
-        pairs = zip(pdf["query_id"], pdf["traj_id"], trajectory_points(pdf))
         rows = search_rows(
-            algorithm, distance, queries, pairs, policy=policy, deadline=deadline, **params
+            algorithm, distance, queries, groups(pdf), policy=policy, deadline=deadline, **params
         )
         return pd.DataFrame(rows, columns=COLUMNS)
 
+    work = data_df if pairs_df is None else data_df.join(F.broadcast(pairs_df), "traj_id")
     queries = [np.asarray(q, dtype=np.float64) for q in queries]
     return map_in_pandas(work, search, PAIR_SCHEMA, queries, policy)
 

@@ -1,15 +1,17 @@
 """The pair-search loop, and the driver backend built on it.
 
-``search_rows`` turns (query, trajectory) pairs into result rows; it is the
-only code that builds one. The driver backend (``pairwise_results`` +
-``topk``: Table 3's sequential column and perfbench's reference) runs it
-over the whole data list, and every Spark task of
-:mod:`repro.search.distributed` runs it over its own rows. ``rank`` is the
-only top-K: ``topk`` and the Spark backend's driver merge both call it.
+``search_rows`` turns (trajectory, query ids) groups into result rows; it
+is the only code that builds one, and it searches each group with
+:func:`repro.search.api.search_queries`, so CMA answers all of a
+trajectory's queries in one stacked DP. The driver backend
+(``pairwise_results`` + ``topk``: Table 3's sequential column and
+perfbench's reference) runs it over the whole data list, grouped by
+trajectory, and every Spark task of :mod:`repro.search.distributed` runs it
+over its own rows. ``rank`` is the only top-K: ``topk`` and the Spark
+backend's driver merge both call it.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import time
 
@@ -17,24 +19,29 @@ import numpy as np
 import pandas as pd
 
 from repro.baselines.rls import RLSPolicy
-from repro.search.api import search_pair
+from repro.search.api import search_queries
 
 #: A result row: its Spark types, and its column names in that order.
 PAIR_SCHEMA = "query_id long, traj_id long, dist double, start int, end int"
 COLUMNS = tuple(field.split()[0] for field in PAIR_SCHEMA.split(", "))
 
 
-def search_rows(algorithm, distance, queries, work, *, policy=None, deadline=math.inf, **params):
-    """One ``COLUMNS`` row per ``(query_id, traj_id, τd)`` in ``work``, with
-    τq = ``queries[query_id]``; ``policy`` and ``params`` go to ``search_pair``.
-    Rows stop at the first pair reached after ``deadline`` (``time.time()``).
-    Spark runs in local mode, so its tasks read the driver's clock: a search
-    cut short returns after its deadline, and Table 3 reports it overtime."""
-    for qid, tid, d in work:
+def search_rows(algorithm, distance, queries, groups, *, policy=None, deadline=math.inf, **params):
+    """One ``COLUMNS`` row per query id of each ``(traj_id, τd, query_ids)``
+    in ``groups``, with τq = ``queries[query_id]``; ``policy`` and ``params``
+    go to ``search_queries``. The deadline (``time.time()``) is checked once
+    per group: rows stop at the first group reached after it, and a group
+    begun before it is searched whole. Spark runs in local mode, so its
+    tasks read the driver's clock: a search cut short returns after its
+    deadline, and Table 3 reports it overtime."""
+    for tid, d, qids in groups:
         if time.time() > deadline:
             return
-        dist, s, e = search_pair(algorithm, distance, queries[qid], d, policy=policy, **params)
-        yield qid, tid, float(dist), int(s), int(e)
+        found = search_queries(
+            algorithm, distance, [queries[qid] for qid in qids], d, policy=policy, **params
+        )
+        for qid, (dist, s, e) in zip(qids, found):
+            yield qid, tid, float(dist), int(s), int(e)
 
 
 def pairwise_results(
@@ -48,19 +55,19 @@ def pairwise_results(
     deadline: float = math.inf,
     **params,
 ) -> list[dict]:
-    """Best subtrajectory per (query, data trajectory) pair.
+    """Best subtrajectory per (query, data trajectory) pair, searched one
+    trajectory at a time against all of its queries.
 
     ``pairs`` restricts evaluation to surviving (query_id, traj_id) pairs
     (the pruning stages produce this set); ``None`` means all pairs. No
-    pair is searched after ``deadline`` (:func:`search_rows`).
+    trajectory is searched after ``deadline`` (:func:`search_rows`).
     """
-    work = (
-        (qid, tid, data[tid])
-        for qid, tid in itertools.product(range(len(queries)), range(len(data)))
-        if pairs is None or (qid, tid) in pairs
+    groups = (
+        (tid, d, [qid for qid in range(len(queries)) if pairs is None or (qid, tid) in pairs])
+        for tid, d in enumerate(data)
     )
     rows = search_rows(
-        algorithm, distance, queries, work, policy=policy, deadline=deadline, **params
+        algorithm, distance, queries, groups, policy=policy, deadline=deadline, **params
     )
     return [dict(zip(COLUMNS, row)) for row in rows]
 

@@ -66,7 +66,12 @@ def _points_frame(trajs: list[np.ndarray], id_col: str) -> pd.DataFrame:
 def gbp_candidates_local(
     queries: list[np.ndarray], data: list[np.ndarray], eps: float, mu: float
 ) -> set[tuple[int, int]]:
-    """Surviving (query_id, traj_id) pairs: ``close ≥ μ·m``."""
+    """Surviving (query_id, traj_id) pairs: ``close ≥ μ·m``. Rejects an
+    empty or non-finite trajectory (``check_finite``): an empty one would
+    get no rows in its point frame, and so drop out unscored."""
+    for name, trajs in (("τq", queries), ("τd", data)):
+        for t in trajs:
+            check_finite(name, t)
     qpts, dpts = _points_frame(queries, "query_id"), _points_frame(data, "traj_id")
     return set(_gbp(qpts, dpts, eps, mu).itertuples(index=False, name=None))
 

@@ -158,6 +158,23 @@ def test_pairwise_results_respects_pairs_filter():
     assert sorted((r["query_id"], r["traj_id"]) for r in rows) == [(0, 1), (0, 3)]
 
 
+@pytest.mark.parametrize("distance", ["DTW", "EDR", "ERP", "FD"])
+def test_pairwise_results_groups_give_each_pair_its_own_answer(distance):
+    """The driver searches each trajectory against all of its surviving
+    queries at once; each row still equals that pair's ``search_pair``,
+    bit for bit, for groups of every size (none, one, several)."""
+    rng = np.random.default_rng(5)
+    queries = [random_traj(rng, m) for m in (4, 1, 6, 4)]
+    data = [random_traj(rng, n) for n in (8, 3, 1, 9, 5)]
+    groups = {0: [0], 1: [], 2: [0, 1, 2, 3], 3: [1, 3], 4: [3, 0, 2]}
+    pairs = {(q, t) for t, qids in groups.items() for q in qids}
+    rows = pairwise_results("CMA", distance, queries, data, pairs=pairs, eps=1.0)
+    assert sorted((r["query_id"], r["traj_id"]) for r in rows) == sorted(pairs)
+    for r in rows:
+        want = search_pair("CMA", distance, queries[r["query_id"]], data[r["traj_id"]], eps=1.0)
+        assert (r["dist"], r["start"], r["end"]) == want
+
+
 def test_algorithm_registry_complete():
     assert set(EXACT_ALGORITHMS) <= set(DEFAULT_ALGORITHMS)
     assert set(DEFAULT_ALGORITHMS) == {

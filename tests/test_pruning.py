@@ -220,6 +220,17 @@ def test_gbp_rejects_non_finite_points(spark, q, d):
         gbp_candidates_df(spark, *_point_frames(spark, queries, data), 1.0, 0.3)
 
 
+@pytest.mark.parametrize("where", ["data", "queries"])
+def test_gbp_rejects_an_empty_trajectory(where):
+    """An empty trajectory has no rows in GBP's point frame; unchecked, it
+    dropped out of the result instead of being rejected (at μ = 0 every
+    other pair survives)."""
+    q, d, empty = np.array([[0.5, 0.5]]), np.array([[0.6, 0.4]]), np.empty((0, 2))
+    queries, data = ([q], [empty, d]) if where == "data" else ([q, empty], [d])
+    with pytest.raises(ValueError, match="must be non-empty and finite"):
+        gbp_candidates_local(queries, data, 1.0, 0.0)
+
+
 def test_gbp_keeps_planted_match():
     """A trajectory containing the query verbatim always survives GBP."""
     rng = np.random.default_rng(0)

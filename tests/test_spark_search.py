@@ -150,6 +150,35 @@ def test_restricted_pairs_df_limits_search(spark, tiny, tiny_df):
     assert np.allclose(got["dist"].to_numpy(), ref["dist"].to_numpy())
 
 
+@pytest.mark.parametrize("algorithm", ["CMA", "POS"])
+def test_survivor_groups_straddle_arrow_batches(spark, tiny, tiny_df, algorithm):
+    """With two rows per Arrow batch, the three survivor rows of a trajectory
+    that keeps every query straddle two batches, and each task groups its
+    rows by trajectory within its batch: every pair still gets the driver's
+    row, bit for bit."""
+    queries, data = tiny
+    keep = {(q, t) for q in range(len(queries)) for t in range(len(data)) if (q + t) % 4}
+    assert {t for _, t in keep if all((q, t) in keep for q in range(len(queries)))}
+    pairs_df = pairs_frame(
+        spark, pd.DataFrame(sorted(keep), columns=["query_id", "traj_id"], dtype="int64")
+    )
+    key = "spark.sql.execution.arrow.maxRecordsPerBatch"
+    before = spark.conf.get(key)
+    spark.conf.set(key, "2")
+    try:
+        got = pairwise_search_df(
+            spark, queries, tiny_df, algorithm, "DTW", pairs_df=pairs_df
+        ).toPandas()
+    finally:
+        spark.conf.set(key, before)
+    got = got.sort_values(["query_id", "traj_id"]).reset_index(drop=True)
+    ref = pd.DataFrame(pairwise_results(algorithm, "DTW", queries, data, pairs=keep))
+    ref = ref.sort_values(["query_id", "traj_id"]).reset_index(drop=True)
+    pd.testing.assert_frame_equal(
+        got.astype({"start": "int64", "end": "int64"}), ref, check_dtype=False, check_exact=True
+    )
+
+
 def test_past_deadline_searches_no_pair(spark, tiny, tiny_df):
     """A deadline already past gives no rows on either backend; the default
     deadline gives one row per pair."""
