@@ -88,7 +88,7 @@ def test_bench_distributed_search(benchmark, spark, porto, algorithm):
 def test_bench_distributed_search_survivors(benchmark, spark, porto):
     """The timed stage of a Porto CMA-DTW cell: the GBP → KPF survivors,
     built as ``run_table3`` builds them (an Arrow-built ``pairs_frame``, no
-    Python RDD), broadcast-joined to the data."""
+    Python RDD), collected by the search and broadcast with the queries."""
     profile, queries, data, data_df, qpts, dpts = porto
     params = city_params(profile.city, "DTW", bbox_scale=profile.bbox_scale)
     got = gbp_candidates_df(

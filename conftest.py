@@ -64,11 +64,9 @@ def spark() -> SparkSession:
 
     Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
     pre-JVM-launch). Per-session configs that *are* honoured post-launch
-    (shuffle partitions, Arrow, broadcast threshold) are set here.
-    Automatic broadcast joins are disabled, so only the explicit
-    ``F.broadcast`` hints in ``src/`` broadcast: the plan-shape tests
-    count exactly those exchanges. Arrow fallback is off, so a pandas
-    frame that Arrow cannot take raises instead of becoming a Python RDD.
+    (shuffle partitions, Arrow) are set here. Arrow fallback is off, so a
+    pandas frame that Arrow cannot take raises instead of becoming a
+    Python RDD.
     """
     s = (
         SparkSession.builder.appName("repro")
@@ -78,7 +76,6 @@ def spark() -> SparkSession:
         )
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.execution.arrow.pyspark.fallback.enabled", "false")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .getOrCreate()
     )
     # One line in test_output.txt that tells the driver whether the

@@ -13,8 +13,9 @@ Pipeline per (dataset, distance), mirroring the paper's Algorithm 3:
    for starting the Python workers.
 
 The backend is picked once per profile: with a SparkSession the search
-runs in ``mapInPandas`` tasks and GBP prunes the collected point frames on
-the driver, else everything runs on the driver.
+runs in ``mapInPandas`` tasks, with the survivors broadcast beside the
+queries, and GBP prunes the collected point frames on the driver, else
+everything runs on the driver; both apply the survivor rule in ``search_rows``.
 Each cell's search gets a wall-clock deadline ``overtime_s`` away and starts
 no trajectory after it; a cell whose deadline has passed when its
 search returns is reported as ``overtime``, as the paper reports ExactS on

@@ -1,18 +1,17 @@
 """Distributed similar-subtrajectory search (the repro's Spark dataflow).
 
-The search runs in an Arrow-backed ``mapInPandas`` UDF: each task runs the
-driver's own loop, :func:`repro.search.local.search_rows`, over its batch
-of trajectory rows, whose points :func:`repro.synth_data.trajectory_points`
-decodes, grouped by trajectory so that CMA answers all of a trajectory's
-queries in one stacked DP, and Arrow casts the result rows to
-``PAIR_SCHEMA``. The (small) query set is broadcast, and no shuffle builds
-the work: unpruned, a task gets each cached trajectory row once and pairs
-it with every query; pruned, the survivors are broadcast-joined to the
-trajectories and a task groups the joined rows by ``traj_id`` within its
-batch. The top-K per query is merged on the driver: :func:`topk_df`
-collects the pair rows in the search's own Arrow job and ranks them with
-:func:`repro.search.local.rank` (checked against DuckDB's window SQL in
-tests), so no shuffle follows the search.
+The search runs in an Arrow-backed ``mapInPandas`` UDF over the cached
+trajectory frame: each task runs the driver's own loop,
+:func:`repro.search.local.search_rows`, over its batch of trajectory rows,
+whose points :func:`repro.synth_data.trajectory_points` decodes, so CMA
+answers all of a trajectory's queries in one stacked DP, and Arrow casts
+the result rows to ``PAIR_SCHEMA``. The (small) query set is broadcast with
+the survivors, collected on the driver into
+:func:`repro.search.local.by_trajectory`'s map, so the plan has no join and
+no exchange. The top-K per query is merged on the driver:
+:func:`topk_df` collects the pair rows in the search's own Arrow job and
+ranks them with :func:`repro.search.local.rank` (checked against DuckDB's
+window SQL in tests), so no shuffle follows the search.
 Each search task starts in :func:`map_in_pandas`.
 Spark's Python daemon makes zip-import invalidation lazy at start-up
 (``src/sitecustomize.py``, :mod:`repro.lazy_zip`), so every worker it forks,
@@ -20,7 +19,6 @@ RDD and UDF workers too, skips re-reading the zip archives per task.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Callable, Iterator
 
@@ -28,10 +26,9 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from repro.baselines.rls import RLSPolicy
-from repro.search.local import COLUMNS, PAIR_SCHEMA, rank, search_rows
+from repro.search.local import COLUMNS, PAIR_SCHEMA, by_trajectory, rank, search_rows
 from repro.synth_data import trajectory_points
 
 
@@ -82,29 +79,23 @@ def pairwise_search_df(
 
     ``data_df`` is a :func:`repro.synth_data.trajectories_df` frame;
     ``pairs_df`` (optional, from the pruning stages) is ``(query_id,
-    traj_id)`` and restricts the search via a broadcast join — a ``None``
-    means the full cross product with the query set. A task searches each
-    trajectory of its batch against all of its queries at once; none starts
-    a trajectory after ``deadline`` (:func:`repro.search.local.search_rows`).
+    traj_id)`` and restricts the search: it is collected on the driver (no
+    job for a :func:`pairs_frame`) — a ``None`` means the full cross product
+    with the query set. A task searches each trajectory of its batch against
+    all of its surviving queries at once; none starts a trajectory after
+    ``deadline`` (:func:`repro.search.local.search_rows`).
     """
-    pruned, every = pairs_df is not None, range(len(queries))  # a task cannot pickle a DataFrame
 
-    def groups(pdf: pd.DataFrame):
-        """``(traj_id, τd, query_ids)`` per trajectory of a task's batch."""
-        if not pruned:
-            return zip(pdf["traj_id"], trajectory_points(pdf), itertools.repeat(every))
-        qids = pdf.groupby("traj_id", sort=False)["query_id"].agg(list)
-        return zip(qids.index, trajectory_points(pdf.drop_duplicates("traj_id")), qids)
-
-    def search(pdf: pd.DataFrame, queries: list, policy: RLSPolicy | None) -> pd.DataFrame:
+    def search(pdf: pd.DataFrame, queries: list, qids, policy: RLSPolicy | None) -> pd.DataFrame:
         rows = search_rows(
-            algorithm, distance, queries, groups(pdf), policy=policy, deadline=deadline, **params
+            algorithm, distance, queries, zip(pdf["traj_id"], trajectory_points(pdf)), qids,
+            policy=policy, deadline=deadline, **params,
         )
         return pd.DataFrame(rows, columns=COLUMNS)
 
-    work = data_df if pairs_df is None else data_df.join(F.broadcast(pairs_df), "traj_id")
+    qids = None if pairs_df is None else by_trajectory(pairs_df.collect())
     queries = [np.asarray(q, dtype=np.float64) for q in queries]
-    return map_in_pandas(work, search, PAIR_SCHEMA, queries, policy)
+    return map_in_pandas(data_df, search, PAIR_SCHEMA, queries, qids, policy)
 
 
 def topk_df(pair_df: DataFrame, k: int = 1) -> DataFrame:

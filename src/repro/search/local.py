@@ -1,14 +1,15 @@
 """The pair-search loop, and the driver backend built on it.
 
-``search_rows`` turns (trajectory, query ids) groups into result rows; it
-is the only code that builds one, and it searches each group with
+``search_rows`` turns trajectories into result rows; it is the only code
+that builds one and the only one that applies the survivor rule
+(:func:`by_trajectory`), and it searches each trajectory with
 :func:`repro.search.api.search_queries`, so CMA answers all of a
 trajectory's queries in one stacked DP. The driver backend
 (``pairwise_results`` + ``topk``: Table 3's sequential column and
-perfbench's reference) runs it over the whole data list, grouped by
-trajectory, and every Spark task of :mod:`repro.search.distributed` runs it
-over its own rows. ``rank`` is the only top-K: ``topk`` and the Spark
-backend's driver merge both call it.
+perfbench's reference) runs it over the whole data list, and every Spark
+task of :mod:`repro.search.distributed` runs it over its own trajectory
+rows. ``rank`` is the only top-K: ``topk`` and the Spark backend's driver
+merge both call it.
 """
 from __future__ import annotations
 
@@ -26,21 +27,38 @@ PAIR_SCHEMA = "query_id long, traj_id long, dist double, start int, end int"
 COLUMNS = tuple(field.split()[0] for field in PAIR_SCHEMA.split(", "))
 
 
-def search_rows(algorithm, distance, queries, groups, *, policy=None, deadline=math.inf, **params):
-    """One ``COLUMNS`` row per query id of each ``(traj_id, τd, query_ids)``
-    in ``groups``, with τq = ``queries[query_id]``; ``policy`` and ``params``
-    go to ``search_queries``. The deadline (``time.time()``) is checked once
-    per group: rows stop at the first group reached after it, and a group
-    begun before it is searched whole. Spark runs in local mode, so its
-    tasks read the driver's clock: a search cut short returns after its
-    deadline, and Table 3 reports it overtime."""
-    for tid, d, qids in groups:
+def by_trajectory(pairs) -> dict[int, list[int]]:
+    """``traj_id`` → its sorted, distinct query ids, over ``(query_id, traj_id)`` ``pairs``."""
+    qids: dict[int, set[int]] = {}
+    for qid, tid in pairs:
+        qids.setdefault(int(tid), set()).add(int(qid))
+    return {tid: sorted(group) for tid, group in qids.items()}
+
+
+def search_rows(
+    algorithm, distance, queries, trajectories, qids=None, *,
+    policy=None, deadline=math.inf, **params,
+):
+    """One ``COLUMNS`` row per surviving pair of each ``(traj_id, τd)`` in
+    ``trajectories``: τd against τq = ``queries[query_id]`` for each query
+    id of ``qids[traj_id]`` (:func:`by_trajectory`), or of every query when
+    ``qids`` is None; a trajectory with none is skipped. ``policy`` and
+    ``params`` go to ``search_queries``. The deadline (``time.time()``) is
+    checked once per searched trajectory: rows stop at the first one reached
+    after it, and one begun before it is searched whole. Spark runs in local
+    mode, so its tasks read the driver's clock: a search cut short returns
+    after its deadline, and Table 3 reports it overtime."""
+    every = range(len(queries))
+    for tid, d in trajectories:
+        group = every if qids is None else qids.get(tid)
+        if not group:
+            continue
         if time.time() > deadline:
             return
         found = search_queries(
-            algorithm, distance, [queries[qid] for qid in qids], d, policy=policy, **params
+            algorithm, distance, [queries[qid] for qid in group], d, policy=policy, **params
         )
-        for qid, (dist, s, e) in zip(qids, found):
+        for qid, (dist, s, e) in zip(group, found):
             yield qid, tid, float(dist), int(s), int(e)
 
 
@@ -62,12 +80,10 @@ def pairwise_results(
     (the pruning stages produce this set); ``None`` means all pairs. No
     trajectory is searched after ``deadline`` (:func:`search_rows`).
     """
-    groups = (
-        (tid, d, [qid for qid in range(len(queries)) if pairs is None or (qid, tid) in pairs])
-        for tid, d in enumerate(data)
-    )
+    qids = None if pairs is None else by_trajectory(pairs)
     rows = search_rows(
-        algorithm, distance, queries, groups, policy=policy, deadline=deadline, **params
+        algorithm, distance, queries, enumerate(data), qids,
+        policy=policy, deadline=deadline, **params,
     )
     return [dict(zip(COLUMNS, row)) for row in rows]
 

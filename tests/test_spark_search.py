@@ -1,8 +1,9 @@
 """Distributed search: Spark path ≡ driver path; the driver-merged top-K and
 the exploded points oracle-checked against DuckDB SQL; plan shapes and job
-counts (trajectory frames and top-K answers are local relations, no shuffle
-anywhere in the search, one job after the survivors' broadcast); lazy
-zip-import invalidation in Spark's Python workers and its start-up hook."""
+counts (trajectory frames and top-K answers are local relations, no join
+and no exchange anywhere in the search, one job with or without survivors);
+lazy zip-import invalidation in Spark's Python workers and its start-up
+hook."""
 from __future__ import annotations
 
 import os
@@ -150,12 +151,25 @@ def test_restricted_pairs_df_limits_search(spark, tiny, tiny_df):
     assert np.allclose(got["dist"].to_numpy(), ref["dist"].to_numpy())
 
 
+def test_duplicated_survivor_pair_gives_one_row_on_both_backends(spark, tiny, tiny_df):
+    """A survivor pair listed twice is searched once: both backends give
+    the same rows, one per distinct pair."""
+    queries, data = tiny
+    keep = [(0, 1), (0, 1), (1, 3)]
+    pairs_df = spark.createDataFrame(keep, "query_id long, traj_id long")
+    got = pairwise_search_df(spark, queries, tiny_df, "CMA", "DTW", pairs_df=pairs_df)
+    got = sorted(tuple(r) for r in got.collect())
+    ref = [tuple(r.values()) for r in pairwise_results("CMA", "DTW", queries, data, pairs=keep)]
+    assert got == sorted(ref)
+    assert [(q, t) for q, t, *_ in got] == [(0, 1), (1, 3)]
+
+
 @pytest.mark.parametrize("algorithm", ["CMA", "POS"])
 def test_survivor_groups_straddle_arrow_batches(spark, tiny, tiny_df, algorithm):
-    """With two rows per Arrow batch, the three survivor rows of a trajectory
-    that keeps every query straddle two batches, and each task groups its
-    rows by trajectory within its batch: every pair still gets the driver's
-    row, bit for bit."""
+    """With two trajectory rows per Arrow batch, a task's trajectories,
+    among them some that keep every query, are split over several batches,
+    and each batch looks up its trajectories' survivors in the broadcast
+    map: every pair still gets the driver's row, bit for bit."""
     queries, data = tiny
     keep = {(q, t) for q in range(len(queries)) for t in range(len(data)) if (q + t) % 4}
     assert {t for _, t in keep if all((q, t) in keep for q in range(len(queries)))}
@@ -234,8 +248,9 @@ def test_trajectories_df_rejects_non_finite_points(spark, tiny, bad, message):
 
 @pytest.mark.parametrize("pruned", [True, False])
 def test_pair_search_plan_has_no_shuffle(spark, tiny, tiny_df, pruned):
-    """Below the UDF: the survivors' broadcast (pruned) or nothing
-    (unpruned explode) — no exchange of the trajectory rows."""
+    """Below the UDF, pruned or not: the trajectory scan alone — no join
+    and no exchange of any kind (the survivors ride in the UDF's
+    broadcast)."""
     queries, _ = tiny
     pairs_df = (
         spark.createDataFrame([(0, 1), (2, 5)], "query_id long, traj_id long")
@@ -246,7 +261,7 @@ def test_pair_search_plan_has_no_shuffle(spark, tiny, tiny_df, pruned):
         pairwise_search_df(spark, queries, tiny_df, "CMA", "DTW", pairs_df=pairs_df)
     )
     assert "MapInPandas" in plan
-    assert plan.count("Exchange") == plan.count("BroadcastExchange") == int(pruned)
+    assert "Exchange" not in plan and "Join" not in plan
 
 
 def _fields(df) -> list:
@@ -283,9 +298,9 @@ def _jobs(spark, action) -> tuple:
 @pytest.mark.parametrize("pruned", [False, True])
 def test_search_and_topk_run_one_job_with_no_shuffle(spark, tiny, tiny_df, pruned):
     """The top-K is merged on the driver: search plus top-K is the search's
-    one job, after the survivors' broadcast when a ``pairs_frame`` restricts
-    it; the answer's plan has no window and no hash exchange, and collecting
-    it runs no job."""
+    one job, also when a ``pairs_frame`` restricts it (collecting its local
+    relation runs no job); the answer's plan has no window and no hash
+    exchange, and collecting it runs no job."""
     queries, data = tiny
     pairs = {(0, 1), (2, 5)} if pruned else None
     pairs_df = (
@@ -297,7 +312,7 @@ def test_search_and_topk_run_one_job_with_no_shuffle(spark, tiny, tiny_df, prune
         spark, queries, tiny_df, "CMA", "DTW", pairs_df=pairs_df
     ), 1))
     rows, more_jobs = _jobs(spark, top.collect)
-    assert (jobs, more_jobs) == (1 + pruned, 0)
+    assert (jobs, more_jobs) == (1, 0)
     plan = _plan(top)
     assert "Window" not in plan and "Exchange hashpartitioning" not in plan
     ref = topk(pairwise_results("CMA", "DTW", queries, data, pairs=pairs), 1)
