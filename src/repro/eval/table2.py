@@ -15,10 +15,10 @@ import pandas as pd
 
 from repro.baselines.exacts import subtraj_distance_matrix
 from repro.baselines.rls import RLSPolicy
-from repro.core.cma import cma
 from repro.eval import metrics
 from repro.eval.datasets import dataset_label, load_profile
 from repro.search.api import ALGORITHMS, build_pair_costs, kernel_kind, search_pair, supports
+from repro.search.local import pairwise_results, topk
 from repro.synth_data import CITY_SPECS
 
 DEFAULT_DISTANCES = ("DTW", "EDR", "ERP", "FD")
@@ -77,17 +77,16 @@ def run_table2(
             kind = kernel_kind(distance)
             params = params_for(distance)
             per_alg: dict[str, list[dict]] = {a: [] for a in algorithms}
-            for q in queries:
-                # Global optimum over all data trajectories (exact, CMA).
-                pair_costs = [build_pair_costs(distance, q, d, **params) for d in data]
-                dists = [cma(kind, c)[0] for c in pair_costs]
-                tid = int(np.argmin(dists))
-                D = subtraj_distance_matrix(kind, pair_costs[tid])
+            # Global optimum over all data trajectories: the driver's exact CMA
+            # search, ties to the smallest traj_id.
+            for best in topk(pairwise_results("CMA", distance, queries, data, **params), 1):
+                q, d = queries[best["query_id"]], data[best["traj_id"]]
+                D = subtraj_distance_matrix(kind, build_pair_costs(distance, q, d, **params))
                 for alg in algorithms:
                     if not supports(alg, distance):
                         continue
                     found, _, _ = search_pair(
-                        alg, distance, q, data[tid],
+                        alg, distance, q, d,
                         policy=policies.get((distance, alg)), **params,
                     )
                     per_alg[alg].append(

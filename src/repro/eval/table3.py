@@ -3,7 +3,7 @@
 Pipeline per (dataset, distance), mirroring the paper's Algorithm 3:
 
 1. **GBP** (shared, once per profile — it does not depend on the distance):
-   grid inverted index → surviving (query, trajectory) pairs.
+   ``gbp_candidates_local`` on the driver's lists → surviving (query, trajectory) pairs.
 2. **KPF** (shared): ``kpf_survivors`` drops the pairs whose lower bound
    exceeds a CMA-probed best-so-far (see DESIGN.md §5).
 3. **Search** (timed per algorithm): the kernel over the surviving pairs,
@@ -12,10 +12,10 @@ Pipeline per (dataset, distance), mirroring the paper's Algorithm 3:
    trajectory runs first, so on Spark the first timed cell does not pay
    for starting the Python workers.
 
-The backend is picked once per profile: with a SparkSession the search
-runs in ``mapInPandas`` tasks, with the survivors broadcast beside the
-queries, and GBP prunes the collected point frames on the driver, else
-everything runs on the driver; both apply the survivor rule in ``search_rows``.
+The backend is picked once per profile and only runs the search: with a
+SparkSession in ``mapInPandas`` tasks, with the survivors broadcast beside
+the queries, else on the driver; both apply the survivor rule in
+``search_rows``.
 Each cell's search gets a wall-clock deadline ``overtime_s`` away and starts
 no trajectory after it; a cell whose deadline has passed when its
 search returns is reported as ``overtime``, as the paper reports ExactS on
@@ -41,12 +41,11 @@ from repro.eval.table2 import (
 from repro.search.api import supports
 from repro.search.distributed import pairs_frame, pairwise_search_df, topk_df
 from repro.search.local import pairwise_results, topk
-from repro.search.pruning import gbp_candidates_df, gbp_candidates_local, kpf_survivors
-from repro.synth_data import explode_points, trajectories_df
+from repro.search.pruning import gbp_candidates_local, kpf_survivors
+from repro.synth_data import trajectories_df
 
 
 class _Backend(NamedTuple):
-    gbp: Callable  # (eps, mu) → surviving (query_id, traj_id) pairs
     prepare: Callable  # pairs → top1's input (Spark: Arrow-built, no Python RDD), untimed
     top1: Callable  # (algorithm, distance, prepared, **params) → top-1 per query
     close: Callable
@@ -56,7 +55,6 @@ def _backend(spark: SparkSession | None, queries, data) -> _Backend:
     """Spark jobs when ``spark`` is given, else the driver pipeline."""
     if spark is None:
         return _Backend(
-            gbp=lambda eps, mu: gbp_candidates_local(queries, data, eps, mu),
             prepare=lambda pairs: pairs,
             top1=lambda alg, dist, pairs, **kw: topk(
                 pairwise_results(alg, dist, queries, data, pairs=pairs, **kw), 1
@@ -65,14 +63,7 @@ def _backend(spark: SparkSession | None, queries, data) -> _Backend:
         )
     data_df = trajectories_df(spark, data).cache()
     data_df.count()
-    qpts = explode_points(trajectories_df(spark, queries)).withColumnRenamed(
-        "traj_id", "query_id"
-    )
-    dpts = explode_points(data_df)
     return _Backend(
-        gbp=lambda eps, mu: {
-            (int(q), int(t)) for q, t in gbp_candidates_df(spark, qpts, dpts, eps, mu).collect()
-        },
         prepare=lambda pairs: pairs_frame(
             spark, pd.DataFrame(sorted(pairs), columns=["query_id", "traj_id"], dtype="int64")
         ),
@@ -110,7 +101,7 @@ def run_table3(
         backend = _backend(spark, queries, data)
         try:
             # --- shared pruning phase: GBP once per profile, KPF per distance ---
-            gbp = backend.gbp(profile.gbp_eps, profile.gbp_mu)
+            gbp = gbp_candidates_local(queries, data, profile.gbp_eps, profile.gbp_mu)
             for distance in distances:
                 params = city_params(
                     profile.city, distance, bbox_scale=profile.bbox_scale

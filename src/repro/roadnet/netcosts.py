@@ -19,25 +19,33 @@ from repro.core.costs import WedCosts
 from repro.roadnet.graph import RoadNetwork
 
 
+def _ids(ids, count: int, ndim: int = 1) -> np.ndarray:
+    """``ids`` as ints, checked to be ``ndim``-D integers in ``[0, count)``:
+    numpy would truncate 0.5 to id 0 and wrap -1 to the last id."""
+    a = np.asarray(ids, dtype=float)
+    i = a.astype(int)
+    if a.ndim != ndim or not np.all((i == a) & (0 <= i) & (i < count)):
+        raise ValueError(f"ids must be {ndim}-D integers in [0, {count})")
+    return i
+
+
 def neterp_costs(
     g: RoadNetwork, q_nodes: np.ndarray, d_nodes: np.ndarray, ref: int = 0
 ) -> WedCosts:
-    sub = g.dist_matrix(q_nodes, d_nodes)
-    ref_d = g.dijkstra(ref)
-    return WedCosts(sub, ref_d[np.asarray(q_nodes, int)], ref_d[np.asarray(d_nodes, int)])
+    q, d = _ids(q_nodes, g.n_nodes), _ids(d_nodes, g.n_nodes)
+    ref_d = g.dijkstra(int(_ids(ref, g.n_nodes, ndim=0)))
+    return WedCosts(g.dist_matrix(q, d), ref_d[q], ref_d[d])
 
 
 def netedr_costs(g: RoadNetwork, q_nodes: np.ndarray, d_nodes: np.ndarray) -> WedCosts:
-    q = np.asarray(q_nodes, int)
-    d = np.asarray(d_nodes, int)
+    q, d = _ids(q_nodes, g.n_nodes), _ids(d_nodes, g.n_nodes)
     sub = (q[:, None] != d[None, :]).astype(np.float64)
     return WedCosts(sub, np.ones(len(q)), np.ones(len(d)))
 
 
 def surs_costs(g: RoadNetwork, q_edges: np.ndarray, d_edges: np.ndarray) -> WedCosts:
     w = g.edge_weights()
-    q = np.asarray(q_edges, int)
-    d = np.asarray(d_edges, int)
+    q, d = _ids(q_edges, len(w)), _ids(d_edges, len(w))
     sub = w[q][:, None] + w[d][None, :]
     sub[q[:, None] == d[None, :]] = 0.0
     return WedCosts(sub, w[q], w[d])

@@ -5,11 +5,11 @@ that builds one and the only one that applies the survivor rule
 (:func:`by_trajectory`), and it searches each trajectory with
 :func:`repro.search.api.search_queries`, so CMA answers all of a
 trajectory's queries in one stacked DP. The driver backend
-(``pairwise_results`` + ``topk``: Table 3's sequential column and
-perfbench's reference) runs it over the whole data list, and every Spark
-task of :mod:`repro.search.distributed` runs it over its own trajectory
-rows. ``rank`` is the only top-K: ``topk`` and the Spark backend's driver
-merge both call it.
+(``pairwise_results`` + ``topk``: Table 3's sequential column, Table 2's
+optimum search and perfbench's reference) runs it over the whole data
+list, and every Spark task of :mod:`repro.search.distributed` runs it
+over its own trajectory rows. ``rank`` is the only top-K: ``topk`` and
+the Spark backend's driver merge both call it.
 """
 from __future__ import annotations
 

@@ -2,10 +2,9 @@
 the tests (ROADMAP aim 2), every Spark Python task in ``src/`` starts in
 one launcher, and one module knows the trajectory frame's point columns.
 
-A definition counts as used when a module under ``src/``, ``jobs/``,
-``benchmarks/`` or ``perfbench/`` refers to its name: as a bare name, an
-attribute or an imported name. Matching is by name only, so the guard has
-a blind spot. A function whose name is also a common identifier is never
+A definition counts as used when a module under ``src/``, ``jobs/`` or
+``perfbench/`` refers to its name: as a bare name, an attribute or an
+imported name. Matching is by name only, so the guard has a blind spot. A function whose name is also a common identifier is never
 flagged: a ``dist`` method called only from tests would pass, because
 ``dist`` is a local variable name in ``src/``.
 """
@@ -16,7 +15,7 @@ import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-CALLER_DIRS = ("src", "jobs", "benchmarks", "perfbench")
+CALLER_DIRS = ("src", "jobs", "perfbench")
 
 
 def _trees(*dirs: str):

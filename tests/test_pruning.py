@@ -273,9 +273,10 @@ def _kpf_bound_and_optimum(distance: str, seed: int, r: float) -> tuple[float, f
 @pytest.mark.parametrize("seed", range(8))
 def test_kpf_bound_below_true_optimum_at_full_rate(distance, seed):
     """Theorem B.1: at r = 1 the bound is a true lower bound of min_j C_{m,j},
-    for every distance function, when it prices points as the search does."""
+    for every distance function, when it prices points as the search does;
+    it sums or maxes non-negative costs, so it is never negative."""
     bound, opt = _kpf_bound_and_optimum(distance, seed, r=1.0)
-    assert bound <= opt + 1e-9
+    assert 0 <= bound <= opt + 1e-9
 
 
 @pytest.mark.parametrize("r", [0.05, 0.2, 0.5])

@@ -7,7 +7,7 @@ import pytest
 from repro.core.cma import cma
 from repro.roadnet.graph import RoadNetwork
 from repro.roadnet.netcosts import netedr_costs, neterp_costs, surs_costs
-from repro.search.api import build_pair_costs
+from repro.search.api import build_pair_costs, search_pair
 from tests.helpers import brute_force_best, full_distance, random_walk, walk_edges
 
 
@@ -117,6 +117,40 @@ def test_surs_costs_edge_weights(net):
     assert c.sub[0, 1] == pytest.approx(w[0] + w[2])
     assert c.delete[0] == pytest.approx(w[0])
     assert c.insert[1] == pytest.approx(w[2])
+
+
+_BAD_IDS = {
+    "fraction": [0.5, 1.0],
+    "negative": [-1, 2],
+    "off_graph": [999],
+    "2-D": [[1, 2]],
+}
+
+
+@pytest.mark.parametrize(
+    "distance,case,side",
+    [
+        (distance, case, side)
+        for distance in ("NetERP", "NetEDR", "SURS")
+        for case in _BAD_IDS
+        for side in ("query", "data")
+    ]
+    + [("NetERP", "ref", "data")],
+)
+def test_graph_costs_reject_ids_not_on_the_graph(net, distance, case, side):
+    """Node ids (edge ids for SURS) and NetERP's ``ref`` must be integers in
+    range: numpy would truncate 0.5 to 0, wrap -1 to the last id and, for
+    NetEDR, compare an id that is not on the graph as if it were."""
+    good = np.arange(4)
+    q, d, params = good, good, {"graph": net}
+    if case == "ref":
+        params["ref"] = -1
+    elif side == "query":
+        q = _BAD_IDS[case]
+    else:
+        d = _BAD_IDS[case]
+    with pytest.raises(ValueError, match="ids must be"):
+        search_pair("CMA", distance, q, d, **params)
 
 
 def test_identical_walk_has_zero_distance_subtrajectory(net):

@@ -13,7 +13,7 @@ from repro.eval import table3
 from repro.eval.table3 import format_table3, run_table3
 from repro.eval.table4 import format_table4, run_table4
 from repro.search.local import pairwise_results, topk
-from repro.search.pruning import kpf_survivors
+from repro.search.pruning import gbp_candidates_local, kpf_survivors
 
 
 @pytest.fixture(scope="module")
@@ -103,8 +103,11 @@ def test_table3_spark_matches_driver_funnel(spark):
     pd.testing.assert_frame_equal(spark_rows, driver_rows)
 
 
-def test_table3_runs_gbp_once_per_profile(monkeypatch):
-    """GBP does not depend on the distance, so each profile runs it once."""
+@pytest.mark.parametrize("backend", ["driver", "spark"])
+def test_table3_runs_gbp_once_per_profile(request, monkeypatch, backend):
+    """GBP does not depend on the distance, so each profile runs it once,
+    on the driver's lists whichever backend searches."""
+    spark = request.getfixturevalue("spark") if backend == "spark" else None
     calls = []
     gbp = table3.gbp_candidates_local
 
@@ -113,7 +116,7 @@ def test_table3_runs_gbp_once_per_profile(monkeypatch):
         return gbp(*args)
 
     monkeypatch.setattr(table3, "gbp_candidates_local", counted)
-    df = run_table3(None, ("porto-test",), ("DTW", "EDR"), ("CMA",))
+    df = run_table3(spark, ("porto-test",), ("DTW", "EDR"), ("CMA",))
     assert len(calls) == 1
     assert df.pruned_pairs.tolist() == [21, 21]
     assert df.searched_pairs.tolist() == [3, 3]
@@ -153,7 +156,7 @@ def _pruned_top1_misses(spark, monkeypatch, profile_name, seeds) -> list:
         profile, queries, data = load_profile(profile_name)
         backend = table3._backend(spark, queries, data)
         try:
-            gbp = backend.gbp(profile.gbp_eps, profile.gbp_mu)
+            gbp = gbp_candidates_local(queries, data, profile.gbp_eps, profile.gbp_mu)
             for distance in ("DTW", "EDR", "ERP", "FD"):
                 params = city_params(profile.city, distance, bbox_scale=profile.bbox_scale)
                 kept = kpf_survivors(queries, data, gbp, distance, params, profile.kpf_r)
